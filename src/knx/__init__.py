@@ -1,7 +1,7 @@
 """knx: exact Kirwan-Ness strata and exactness certification for quantum
 Hamiltonian reduction of reductive-group representations."""
 
-from .convex import MinNormCertificate, Polytope, hull_contains, min_norm_point, witnesses_compare
+from .convex import ConeProjection, gram_table, min_norm_point
 from .engine import (
     CERTIFIED,
     PARAMETRIC,
@@ -26,23 +26,11 @@ from .groups import (
     torus,
     weyl_canonicalize,
 )
-from .scalars import (
-    EpsScalar,
-    EpsVector,
-    GramForm,
-    eps_scalar,
-    eps_sign,
-    eps_vector,
-    pair,
-    project_out_span,
-    rat,
-    rat_str,
-    vector,
-)
+from .scalars import GramForm, project_out_span, rat, rat_str, vector
 from .semigroup import (
     NumericalSemigroup,
     SetDescription,
-    forbidden_set_description,
+    describe_members,
     membership,
     semigroup_from_generators,
     witness_decomposition,

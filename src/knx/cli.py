@@ -22,15 +22,6 @@ from .errors import (
     SchemaError,
 )
 from .oracle import OracleConfig, cross_check_problem, random_problem
-
-
-def run_random_self_checks(config: OracleConfig) -> bool:
-    """Cross-check a seeded batch of random torus problems."""
-    for i in range(config.sample_count):
-        p = random_problem(1 + i % 3, 1 + (i * 5) % 6, config.rng_seed * 1000 + i)
-        if not cross_check_problem(p, config).agreed:
-            return False
-    return True
 from .problemfile import load_problem
 from .report import (
     check_report,
@@ -44,6 +35,15 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_SCHEMA = 2
 EXIT_CAP = 3
+
+
+def run_random_self_checks(config: OracleConfig) -> bool:
+    """Cross-check a seeded batch of random torus problems."""
+    for i in range(config.sample_count):
+        p = random_problem(1 + i % 3, 1 + (i * 5) % 6, config.rng_seed * 1000 + i)
+        if not cross_check_problem(p, config).agreed:
+            return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

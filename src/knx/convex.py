@@ -1,10 +1,18 @@
-"""Exact convex geometry over perturbed rational points.
+"""Exact q-projection of a character onto the cone of a weight set.
 
-All polytopes in this package arise as {w_i + eps*lam}: every vertex
-carries the same eps-direction, so difference vectors are eps-free,
-affine independence is a plain rational rank test, closest points are
-affine in eps, and every comparison is a degree-<=2 sign decided in the
-limit eps -> 0^-.
+Every candidate polytope in this package is a perturbed weight hull
+conv{0, w_i} + eps*chi, compared in the limit eps -> 0^-.  The origin is
+always a vertex, so near 0 the hull is the cone spanned by the w_i, and
+its closest point to the origin is exactly eps*v with
+
+    v = chi - p,    p = the q-closest point of cone{w_i} to chi.
+
+p is found by an exact Lawson-Hanson active-set nonnegative least-squares
+solve over Fraction (Lawson and Hanson, *Solving Least Squares Problems*,
+1974, ch. 23), on the Gram matrix q(w_i, w_j) and the pairings q(w_i, chi),
+computed once per weight set.  The Moreau/KKT conditions certify the
+result completely: the coefficients of p are >= 0, q(w, v) <= 0 for every
+weight w of the set, and q(p, v) = 0.
 """
 
 from __future__ import annotations
@@ -14,166 +22,122 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import CapExceeded, InternalInconsistency, InvalidParameter
+from .errors import InternalInconsistency
 from .linalg import matrix_rank, solve_exact
-from .scalars import (
-    NEGATIVE,
-    EpsScalar,
-    EpsVector,
-    GramForm,
-    Vector,
-    pair,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .scalars import GramForm, Vector, is_zero_vector, vec_add, vec_scale, vec_sub, vec_zero
 
 DEFAULT_VERTEX_CAP = 24
 
 
 @dataclass(frozen=True)
-class Polytope:
-    """Convex hull of perturbed points sharing one eps-direction."""
+class GramTable:
+    """Weights w_i and a character chi with their q-pairings.
 
-    vertices: tuple[EpsVector, ...]
+    gram[i][j] = q(w_i, w_j) and rhs[i] = q(w_i, chi).
+    """
+
     form: GramForm
+    weights: tuple[Vector, ...]
+    chi: Vector
+    gram: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if not self.vertices:
-            raise InvalidParameter("polytope needs at least one vertex")
-        n = len(self.vertices[0])
-        if any(len(v) != n for v in self.vertices):
-            raise InvalidParameter("vertices must all have the same length")
-        lin = self.vertices[0].lin
-        if any(v.lin != lin for v in self.vertices):
-            raise InvalidParameter("vertices must share one eps-direction")
 
-    @property
-    def eps_direction(self) -> Vector:
-        return self.vertices[0].lin
+def gram_table(weights: Sequence[Vector], chi: Vector, q: GramForm) -> GramTable:
+    n = len(weights)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = q.apply(weights[i], weights[j])
+    rhs = tuple(q.apply(w, chi) for w in weights)
+    return GramTable(q, tuple(weights), chi, tuple(map(tuple, gram)), rhs)
 
 
 @dataclass(frozen=True)
-class MinNormCertificate:
-    """Closest point of a polytope to the origin, with its support data.
+class ConeProjection:
+    """The projection p of chi onto cone{w_i : i in members} and v = chi - p.
 
-    coefficients are convex weights on the support: nonnegative for small
-    eps < 0, summing to 1 exactly, reproducing the point.  For every
-    vertex s the variational inequality pair(point, s - point) >= 0 holds.
+    The closest point of conv{0, w_i} + eps*chi to the origin is eps*v.
+    coefficients[k] >= 0 is the weight of w_{members[k]} in p, and
+    pairings[k] = q(w_{members[k]}, v) <= 0.
     """
 
-    point: EpsVector
-    support: tuple[int, ...]
-    coefficients: tuple[EpsScalar, ...]
+    direction: Vector
+    projection: Vector
+    members: tuple[int, ...]
+    coefficients: tuple[Fraction, ...]
+    pairings: tuple[Fraction, ...]
 
 
-def min_norm_point(P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> MinNormCertificate:
-    """Unique q-closest point of P to the origin, exact in eps.
+def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
+    """Certified cone projection of table.chi onto the given table weights.
 
-    Enumerates affinely independent vertex subsets in (size, lex) order
-    and accepts the first one whose affine-hull foot point has nonnegative
-    convex coefficients and satisfies the variational inequality against
-    every vertex.  Uniqueness of the optimum makes the accepted point
-    independent of the enumeration order; the order fixes the support.
+    A weight enters the passive set only when it pairs positively with the
+    current residual v, which is q-orthogonal to the span of the passive
+    set; so the passive weights stay linearly independent and every
+    passive solve is nonsingular.
     """
-    _check_cap(P, cap)
-    q = P.form
-    verts = P.vertices
-    dim = len(verts[0])
-    for size in range(1, min(len(verts), dim + 1) + 1):
-        for support in combinations(range(len(verts)), size):
-            got = _affine_foot(verts, support, q)
-            if got is None:
+    members = tuple(members)
+    gram = [[table.gram[i][j] for j in members] for i in members]
+    rhs = [table.rhs[i] for i in members]
+    coeffs = [Fraction(0)] * len(members)
+    passive: list[int] = []
+    dual = list(rhs)
+    while True:
+        entering = [k for k in range(len(members)) if k not in passive and dual[k] > 0]
+        if not entering:
+            break
+        passive.append(max(entering, key=lambda k: dual[k]))
+        while True:
+            z = solve_exact([[gram[i][j] for j in passive] for i in passive],
+                            [rhs[i] for i in passive])
+            if z is None:
+                raise InternalInconsistency("the passive weights became linearly dependent")
+            if all(x > 0 for x in z):
+                for k, x in zip(passive, z):
+                    coeffs[k] = x
+                break
+            # step from coeffs towards z until the first coefficient hits 0
+            step = min(coeffs[k] / (coeffs[k] - x) for k, x in zip(passive, z) if x <= 0)
+            for k, x in zip(passive, z):
+                coeffs[k] += step * (x - coeffs[k])
+            passive = [k for k in passive if coeffs[k] > 0]
+        dual = [rhs[i] - sum(gram[i][k] * coeffs[k] for k in passive)
+                for i in range(len(members))]
+    return _certify(table, members, tuple(coeffs))
+
+
+def _certify(table: GramTable, members: tuple[int, ...], coeffs: tuple[Fraction, ...]) -> ConeProjection:
+    # the Moreau/KKT conditions, re-evaluated from the vectors and the form
+    q = table.form
+    if any(c < 0 for c in coeffs):
+        raise InternalInconsistency("cone projection has a negative coefficient")
+    p = vec_zero(len(table.chi))
+    for i, c in zip(members, coeffs):
+        p = vec_add(p, vec_scale(c, table.weights[i]))
+    v = vec_sub(table.chi, p)
+    pairings = tuple(q.apply(table.weights[i], v) for i in members)
+    if any(s > 0 for s in pairings):
+        raise InternalInconsistency("cone projection residual pairs positively with a weight")
+    if q.apply(p, v) != 0:
+        raise InternalInconsistency("cone projection residual is not orthogonal to the projection")
+    return ConeProjection(v, p, members, coeffs, pairings)
+
+
+def cone_support(proj: ConeProjection, table: GramTable) -> tuple[Vector, ...]:
+    """First linearly independent set of member weights, in (size, lex)
+    order over the members, that lies in the face {w : q(w, v) = 0} and
+    carries the projection p with every coefficient > 0; () when p = 0."""
+    p = proj.projection
+    if is_zero_vector(p):
+        return ()
+    face = [table.weights[i] for i, s in zip(proj.members, proj.pairings) if s == 0]
+    dim = len(p)
+    for size in range(1, min(len(face), dim) + 1):
+        for support in combinations(face, size):
+            if matrix_rank(support) != size:
                 continue
-            x, coeffs = got
-            if any(c.sign() == NEGATIVE for c in coeffs):
-                continue
-            if _is_optimal(x, verts, q):
-                return MinNormCertificate(x, support, coeffs)
-    raise InternalInconsistency("no support certified the minimum-norm point")
-
-
-def _affine_foot(
-    verts: Sequence[EpsVector], support: Sequence[int], q: GramForm
-) -> tuple[EpsVector, tuple[EpsScalar, ...]] | None:
-    """Closest point of aff{verts[i] : i in support} to 0, or None if the
-    support is affinely dependent."""
-    base = verts[support[0]]
-    diffs = [vec_sub(verts[i].const, base.const) for i in support[1:]]
-    if diffs and matrix_rank(diffs) != len(diffs):
-        return None
-    if not diffs:
-        x = base
-        return x, (EpsScalar(Fraction(1)),)
-    gram = [[q.apply(a, b) for b in diffs] for a in diffs]
-    rhs0 = [-q.apply(base.const, d) for d in diffs]
-    rhs1 = [-q.apply(base.lin, d) for d in diffs]
-    a = solve_exact(gram, rhs0)
-    b = solve_exact(gram, rhs1)
-    if a is None or b is None:
-        raise InternalInconsistency("independent support gave a singular Gram matrix")
-    const = base.const
-    lin = base.lin
-    for ai, bi, d in zip(a, b, diffs):
-        const = vec_add(const, vec_scale(ai, d))
-        lin = vec_add(lin, vec_scale(bi, d))
-    coeffs = [EpsScalar(Fraction(1) - sum(a), -sum(b))]
-    coeffs += [EpsScalar(ai, bi) for ai, bi in zip(a, b)]
-    return EpsVector(const, lin), tuple(coeffs)
-
-
-def _is_optimal(x: EpsVector, verts: Sequence[EpsVector], q: GramForm) -> bool:
-    return all(pair(x, s - x, q).sign() != NEGATIVE for s in verts)
-
-
-def hull_contains(p: EpsVector, P: Polytope, cap: int = DEFAULT_VERTEX_CAP) -> bool:
-    """True iff p lies in conv(P) for all sufficiently small eps < 0.
-
-    Exact feasibility by basic-solution enumeration: if p is in the hull,
-    Caratheodory gives an affinely independent support whose (unique)
-    affine coefficients are nonnegative in the limit.
-    """
-    _check_cap(P, cap)
-    verts = P.vertices
-    lam = P.eps_direction
-    dim = len(verts[0])
-    n = len(p)
-    if n != dim:
-        raise InvalidParameter("point length does not match the polytope")
-    for size in range(1, min(len(verts), dim + 1) + 1):
-        for support in combinations(range(len(verts)), size):
-            consts = [verts[i].const for i in support]
-            if size > 1:
-                diffs = [vec_sub(c, consts[0]) for c in consts[1:]]
-                if matrix_rank(diffs) != len(diffs):
-                    continue
-            # affine system: sum a_i v_i = p_const with sum a_i = 1,
-            # and for the eps part sum b_i v_i = p_lin - lam with sum b_i = 0
-            rows = [[consts[j][r] for j in range(size)] for r in range(n)]
-            rows.append([Fraction(1)] * size)
-            a = solve_exact(rows, list(p.const) + [Fraction(1)])
-            if a is None:
-                continue
-            b = solve_exact(rows, list(vec_sub(p.lin, lam)) + [Fraction(0)])
-            if b is None:
-                continue
-            if all(EpsScalar(ai, bi).sign() != NEGATIVE for ai, bi in zip(a, b)):
-                return True
-    return False
-
-
-def witnesses_compare(
-    p: EpsVector, p_alt: EpsVector, points: Sequence[EpsVector], q: GramForm
-) -> bool:
-    """True iff p_alt is strictly q-closer than p to every point of S."""
-    for s in points:
-        d_alt = pair(p_alt - s, p_alt - s, q)
-        d_p = pair(p - s, p - s, q)
-        if (d_alt - d_p).sign() != NEGATIVE:
-            return False
-    return True
-
-
-def _check_cap(P: Polytope, cap: int) -> None:
-    if len(P.vertices) > cap:
-        raise CapExceeded(f"{len(P.vertices)} vertices exceed the cap of {cap}")
+            a = solve_exact([[w[r] for w in support] for r in range(dim)], list(p))
+            if a is not None and all(x > 0 for x in a):
+                return support
+    raise InternalInconsistency("no face of the cone carries the projection")

@@ -14,6 +14,7 @@ from .groups import (
     TorusCharacter,
     gl,
     validate_lie_character,
+    validate_torus_character,
     weyl_canonicalize,
 )
 from .scalars import Vector, vec_zero, vector
@@ -50,6 +51,7 @@ class ExactnessProblem:
     def __post_init__(self):
         if self.strictness not in STRICTNESS:
             raise InvalidParameter(f"unknown strictness {self.strictness!r}")
+        validate_torus_character(self.chi, self.group)
         if self.c is not None:
             validate_lie_character(self.c, self.group)
 

@@ -5,10 +5,6 @@ class KnxError(Exception):
     """Base class for every knx-specific error."""
 
 
-class DegreeOverflow(KnxError):
-    """An epsilon-polynomial operation would exceed degree 2."""
-
-
 class CapExceeded(KnxError):
     """A configured enumeration cap (vertex or weight count) was exceeded."""
 

@@ -201,10 +201,6 @@ class TorusCharacter:
             raise InvalidParameter("a genuine group character needs integer entries")
 
 
-def torus_character(entries: Sequence, genuine: bool = False) -> TorusCharacter:
-    return TorusCharacter(vector(entries), genuine)
-
-
 @dataclass(frozen=True)
 class LieCharacter:
     """Linear functional on the Lie algebra killing [g, g].
@@ -217,18 +213,24 @@ class LieCharacter:
     direction: Vector | None = None
 
 
-def lie_character(base: Sequence, direction: Sequence | None = None) -> LieCharacter:
-    return LieCharacter(vector(base), vector(direction) if direction is not None else None)
-
-
 def validate_lie_character(c: LieCharacter, group: GroupData) -> None:
     for name, part in (("base", c.base), ("direction", c.direction)):
-        if part is None:
-            continue
-        if len(part) != group.rank:
-            raise InvalidParameter(f"character {name} length does not match rank")
-        for r in group.roots:
-            if group.form.apply(part, r) != 0:
-                raise InvalidParameter(
-                    f"character {name} does not vanish on the root {tuple(map(str, r))}"
-                )
+        if part is not None:
+            _require_invariant(f"character {name}", part, group)
+
+
+def validate_torus_character(chi: TorusCharacter, group: GroupData) -> None:
+    """chi must have the group's rank and vanish on every root, so that the
+    Weyl group permutes the strata it defines."""
+    _require_invariant("chi", chi.vec, group)
+
+
+def _require_invariant(what: str, vec: Vector, group: GroupData) -> None:
+    # the length check comes first and costs nothing, whatever rank is claimed
+    if len(vec) != group.rank:
+        raise InvalidParameter(f"{what} length does not match rank")
+    for r in group.roots:
+        if group.form.apply(vec, r) != 0:
+            raise InvalidParameter(
+                f"{what} does not vanish on the root {tuple(map(str, r))}"
+            )

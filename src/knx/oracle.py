@@ -1,9 +1,10 @@
 """Independent concrete-epsilon oracle for the symbolic enumeration.
 
-The oracle substitutes a concrete small negative rational for epsilon and
-re-solves every span subset with exhaustive support enumeration and a
-global minimum — exact arithmetic throughout, no early exit, and no use
-of the EpsScalar comparison path.
+The oracle substitutes a concrete small negative rational eps0 for epsilon
+and re-solves every flat's perturbed hull conv{0, w_i} + eps0*chi with
+exhaustive support enumeration and a global minimum: exact arithmetic
+throughout, no early exit, and no use of the cone projection it checks.
+The closest point must equal eps0*v for the certified direction v.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from typing import Sequence
 from .convex import DEFAULT_VERTEX_CAP
 from .engine import ExactnessProblem
 from .errors import CapExceeded, InvalidParameter
-from .groups import GroupData, LieCharacter, TorusCharacter, primitive_rescale, torus
+from .groups import (
+    GroupData,
+    LieCharacter,
+    TorusCharacter,
+    primitive_rescale,
+    torus,
+    weyl_canonicalize,
+)
 from .linalg import matrix_rank, solve_exact
 from .scalars import (
     GramForm,
@@ -107,18 +115,20 @@ def cross_check_enumeration(
     per_eps_directions: dict[Fraction, set[Vector]] = {e: set() for e in config.epsilon_values}
     count = 0
     symbolic_directions: set[Vector] = set()
-    for subset, cert in span_candidates(ws, chi, group, cap):
+    zero = vec_zero(ws.rank)
+    for table, proj in span_candidates(ws, chi, group, cap):
         count += 1
-        x = cert.point
-        if is_zero_vector(x.const) and not is_zero_vector(x.lin):
-            symbolic_directions.add(primitive_rescale(vec_neg(x.lin)))
+        v = proj.direction
+        if not is_zero_vector(v):
+            symbolic_directions.add(primitive_rescale(vec_neg(v)))
+        vertices = [zero] + [table.weights[i] for i in proj.members]
         for eps0 in config.epsilon_values:
-            concrete = [vec_add(w, vec_scale(eps0, chi.vec)) for w in subset]
+            concrete = [vec_add(w, vec_scale(eps0, chi.vec)) for w in vertices]
             numeric = numeric_min_norm(concrete, group.form, cap)
-            symbolic_at_eps = x.evaluate(eps0)
+            symbolic_at_eps = vec_scale(eps0, v)
             if numeric != symbolic_at_eps:
                 mismatches.append(
-                    f"subset of size {len(subset)} disagrees at eps={eps0}: "
+                    f"subset of size {len(vertices)} disagrees at eps={eps0}: "
                     f"{numeric} != {symbolic_at_eps}"
                 )
             elif not is_zero_vector(numeric):
@@ -158,8 +168,6 @@ def random_problem(rank: int, weight_count: int, seed: int) -> ExactnessProblem:
 
 
 def cross_check_problem(problem: ExactnessProblem, config: OracleConfig = OracleConfig()) -> OracleReport:
-    from .groups import weyl_canonicalize
-
     report = cross_check_enumeration(
         problem.weights, problem.chi, problem.group, config, problem.cap
     )

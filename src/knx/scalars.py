@@ -1,10 +1,9 @@
-"""Exact scalars and vectors: rationals, epsilon-polynomials, pairings.
+"""Exact scalars and vectors: rationals, rational vectors, the pairing q.
 
-Every number on the certification path is a Fraction or a polynomial of
-degree <= 2 in a formal infinitesimal eps, compared in the limit
-eps -> 0^-.  Degree 2 suffices throughout: points of interest are affine
-in eps and squared distances are quadratic.  Exceeding it is a logic bug
-and raises DegreeOverflow.
+Every number on the certification path is a Fraction.  The infinitesimal
+perturbation of the weight hulls never needs its own arithmetic: the
+closest point of a perturbed hull is exactly eps*v for a rational vector v
+(see ``convex``).
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DegreeOverflow, InvalidParameter
+from .errors import InvalidParameter
 from .linalg import determinant, independent_subset, solve_exact
-
-NEGATIVE, ZERO_SIGN, POSITIVE = -1, 0, 1
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -76,106 +73,6 @@ def is_zero_vector(u: Vector) -> bool:
 
 
 @dataclass(frozen=True)
-class EpsScalar:
-    """c0 + c1*eps + c2*eps^2 with eps a formal negative infinitesimal."""
-
-    c0: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
-    c2: Fraction = Fraction(0)
-
-    def __add__(self, other: "EpsScalar") -> "EpsScalar":
-        o = _as_eps(other)
-        return EpsScalar(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "EpsScalar") -> "EpsScalar":
-        o = _as_eps(other)
-        return EpsScalar(self.c0 - o.c0, self.c1 - o.c1, self.c2 - o.c2)
-
-    def __neg__(self) -> "EpsScalar":
-        return EpsScalar(-self.c0, -self.c1, -self.c2)
-
-    def __mul__(self, other) -> "EpsScalar":
-        o = _as_eps(other)
-        d3 = self.c1 * o.c2 + self.c2 * o.c1
-        d4 = self.c2 * o.c2
-        if d3 != 0 or d4 != 0:
-            raise DegreeOverflow("product exceeds degree 2 in eps")
-        return EpsScalar(
-            self.c0 * o.c0,
-            self.c0 * o.c1 + self.c1 * o.c0,
-            self.c0 * o.c2 + self.c1 * o.c1 + self.c2 * o.c0,
-        )
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        """Sign of self(eps) for all sufficiently small eps < 0.
-
-        First nonzero coefficient decides, with the linear term flipped
-        (eps < 0) and the quadratic term kept (eps^2 > 0).
-        """
-        if self.c0 != 0:
-            return POSITIVE if self.c0 > 0 else NEGATIVE
-        if self.c1 != 0:
-            return NEGATIVE if self.c1 > 0 else POSITIVE
-        if self.c2 != 0:
-            return POSITIVE if self.c2 > 0 else NEGATIVE
-        return ZERO_SIGN
-
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
-
-    def evaluate(self, eps0: Fraction) -> Fraction:
-        return self.c0 + self.c1 * eps0 + self.c2 * eps0 * eps0
-
-
-def _as_eps(x) -> EpsScalar:
-    if isinstance(x, EpsScalar):
-        return x
-    return EpsScalar(rat(x))
-
-
-def eps_scalar(c0=0, c1=0, c2=0) -> EpsScalar:
-    return EpsScalar(rat(c0), rat(c1), rat(c2))
-
-
-def eps_sign(x: EpsScalar) -> int:
-    return x.sign()
-
-
-@dataclass(frozen=True)
-class EpsVector:
-    """constant + eps * linear, both exact rational vectors of equal length."""
-
-    const: Vector
-    lin: Vector
-
-    def __post_init__(self):
-        if len(self.const) != len(self.lin):
-            raise InvalidParameter("constant and linear parts differ in length")
-
-    def __len__(self) -> int:
-        return len(self.const)
-
-    def __sub__(self, other: "EpsVector") -> "EpsVector":
-        return EpsVector(vec_sub(self.const, other.const), vec_sub(self.lin, other.lin))
-
-    def __add__(self, other: "EpsVector") -> "EpsVector":
-        return EpsVector(vec_add(self.const, other.const), vec_add(self.lin, other.lin))
-
-    def evaluate(self, eps0: Fraction) -> Vector:
-        return vec_add(self.const, vec_scale(eps0, self.lin))
-
-
-def eps_vector(const: Iterable, lin: Iterable | None = None) -> EpsVector:
-    c = vector(const)
-    l = vector(lin) if lin is not None else vec_zero(len(c))
-    return EpsVector(c, l)
-
-
-@dataclass(frozen=True)
 class GramForm:
     """Symmetric positive-definite rational bilinear form (Weyl-invariant q)."""
 
@@ -214,27 +111,13 @@ class GramForm:
         if len(u) != self.rank or len(v) != self.rank:
             raise InvalidParameter("vector length does not match form rank")
         total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.rows[i]
-            total += ui * sum(row[j] * v[j] for j in range(self.rank))
+        for ui, row in zip(u, self.rows):
+            if ui:  # zero terms are skipped: forms and weights are mostly sparse
+                total += ui * sum(r * x for r, x in zip(row, v) if r and x)
         return total
 
     def norm2(self, v: Vector) -> Fraction:
         return self.apply(v, v)
-
-    def pair_eps(self, u: EpsVector, v: EpsVector) -> EpsScalar:
-        return EpsScalar(
-            self.apply(u.const, v.const),
-            self.apply(u.const, v.lin) + self.apply(u.lin, v.const),
-            self.apply(u.lin, v.lin),
-        )
-
-
-def pair(u: EpsVector, v: EpsVector, q: GramForm) -> EpsScalar:
-    """Bilinear form value u^T q v expanded as a polynomial in eps."""
-    return q.pair_eps(u, v)
 
 
 def project_out_span(v: Vector, spanning: Sequence[Vector], q: GramForm) -> Vector:

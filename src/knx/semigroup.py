@@ -247,12 +247,6 @@ def describe_members(
     )
 
 
-def forbidden_set_description(
-    semigroup: NumericalSemigroup, shift: Fraction
-) -> SetDescription:
-    return describe_members(semigroup, shift)
-
-
 def reduce_union(descriptions: Sequence[SetDescription]) -> tuple[SetDescription, ...]:
     """Drop descriptions contained in another one; first of equal sets wins."""
     kept: list[SetDescription] = []

@@ -2,13 +2,14 @@
 representation, with stratum descriptions, ordering and semistability
 detection.
 
-The destabilizing candidates are found by exact minimum-norm geometry on
-the perturbed weight hulls conv{a_i + eps*lam}, with the affine-cone
-weight 0 always adjoined.  Subsets are deduplicated by the span of their
-weights: if J is a minimal support of the optimum for any subset, the
-optimum is also the optimum of the maximal subset with span(J), so
-evaluating one maximal subset per span finds every stratum and every
-semistable witness.
+Each candidate is the closest point to the origin of a perturbed weight
+hull conv{0, w_i} + eps*chi.  The origin is always a vertex, so that point
+is exactly eps*v with v = chi - proj_{cone(w_i)}(chi) in the q-metric, and
+the exact cone projection of ``convex`` computes and certifies v.
+Subsets are deduplicated by the span of their weights: if J is a minimal
+support of the optimum for any subset, the optimum is also the optimum of
+the maximal subset with span(J), so evaluating one maximal subset per span
+(a flat) finds every stratum and every semistable witness.
 """
 
 from __future__ import annotations
@@ -17,20 +18,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .convex import DEFAULT_VERTEX_CAP, MinNormCertificate, Polytope, min_norm_point
+from .convex import (
+    DEFAULT_VERTEX_CAP,
+    ConeProjection,
+    GramTable,
+    cone_support,
+    gram_table,
+    min_norm_point,
+)
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter, NonabelianUnsupported
 from .groups import GroupData, TorusCharacter, primitive_rescale, weyl_canonicalize
 from .linalg import span_contains, span_extend, span_key
-from .scalars import (
-    EpsVector,
-    Vector,
-    is_zero_vector,
-    pair,
-    project_out_span,
-    vec_neg,
-    vec_zero,
-    vector,
-)
+from .scalars import Vector, is_zero_vector, vec_neg, vector
 
 ORIENTATIONS = ("negative", "positive", "both")
 
@@ -75,10 +74,11 @@ def weight_system(weights: Sequence[Sequence], mode: str = "cotangent") -> Weigh
 class KNStratum:
     """One Kirwan-Ness stratum of the stratified space.
 
-    ``direction`` is the unrescaled closest-point direction v (the eps
-    coefficient of the minimum-norm point); beta_neg/beta_pos are the two
-    signed primitive representatives, beta the orientation-selected one.
-    Index fields refer to positions in stratify_weights.
+    ``direction`` is the unrescaled closest-point direction v (the closest
+    point is eps*v); beta_neg/beta_pos are the two signed primitive
+    representatives, beta the orientation-selected one.  Index fields refer
+    to positions in stratify_weights; the defining subset is the origin
+    together with the weights at defining_indices.
     """
 
     direction: Vector
@@ -114,12 +114,14 @@ def span_candidates(
     chi: TorusCharacter,
     group: GroupData,
     cap: int = DEFAULT_VERTEX_CAP,
-) -> Iterator[tuple[tuple[Vector, ...], MinNormCertificate]]:
-    """Yield (maximal weight subset, min-norm certificate) per distinct span.
+) -> Iterator[tuple[GramTable, ConeProjection]]:
+    """Yield (pairing table, certified cone projection) per distinct span.
 
-    The subset always carries the affine-cone weight 0 as vertex 0.  The
-    same generator feeds both the symbolic enumeration and the concrete-eps
-    oracle, which re-solves each subset independently.
+    The table holds the distinct nonzero weights and is shared by every
+    flat; a projection's members are the table weights in its flat.  The
+    origin is an implicit vertex of every flat.  The same generator feeds
+    both the symbolic enumeration and the concrete-eps oracle, which
+    re-solves each flat independently.
     """
     weights = ws.stratify_weights
     if len(chi.vec) != ws.rank or group.rank != ws.rank:
@@ -127,9 +129,8 @@ def span_candidates(
     distinct = sorted(set(weights))
     if len(distinct) + 1 > cap:
         raise CapExceeded(f"{len(distinct)} distinct weights exceed the cap of {cap}")
-    lam = chi.vec
-    zero = vec_zero(ws.rank)
     nonzero = [w for w in distinct if not is_zero_vector(w)]
+    table = gram_table(nonzero, chi.vec, group.form)
 
     spans = {span_key([]): []}
     frontier = [[]]
@@ -148,10 +149,8 @@ def span_candidates(
 
     ordered = sorted(spans.values(), key=lambda b: (len(b), span_key(b)))
     for basis in ordered:
-        members = tuple(w for w in distinct if span_contains(basis, w))
-        vertices = [EpsVector(zero, lam)] + [EpsVector(w, lam) for w in members]
-        cert = min_norm_point(Polytope(tuple(vertices), group.form), cap)
-        yield (zero,) + members, cert
+        members = [i for i, w in enumerate(nonzero) if span_contains(basis, w)]
+        yield table, min_norm_point(table, members)
 
 
 def enumerate_kn(
@@ -168,15 +167,11 @@ def enumerate_kn(
     q = group.form
     semistable = False
     found: dict[Vector, dict] = {}
-    for subset, cert in span_candidates(ws, chi, group, cap):
-        x = cert.point
-        if not is_zero_vector(x.const):
-            continue  # stratum does not meet the affine chart
-        v = x.lin
+    for table, proj in span_candidates(ws, chi, group, cap):
+        v = proj.direction
         if is_zero_vector(v):
             semistable = True
             continue
-        _validate_candidate(subset, cert, v, chi.vec, q)
         beta_neg = primitive_rescale(vec_neg(v))
         key = weyl_canonicalize(beta_neg, group)
         if key in found:
@@ -186,8 +181,7 @@ def enumerate_kn(
             "beta_neg": beta_neg,
             "beta_pos": primitive_rescale(v),
             "q_norm": q.norm2(v),
-            "support_weights": tuple(subset[i] for i in cert.support if i != 0),
-            "support_has_origin": 0 in cert.support,
+            "support_weights": cone_support(proj, table),
         }
 
     strata = []
@@ -208,7 +202,7 @@ def enumerate_kn(
                 beta_dominant=dominant,
                 q_norm=data["q_norm"],
                 defining_indices=defining,
-                defining_includes_origin=data["support_has_origin"],
+                defining_includes_origin=True,
                 v_plus=tuple(plus),
                 v_zero=tuple(zero_idx),
                 v_minus=tuple(minus),
@@ -218,36 +212,11 @@ def enumerate_kn(
     return KNResult(tuple(strata), semistable, orientation)
 
 
-def _validate_candidate(
-    subset: tuple[Vector, ...],
-    cert: MinNormCertificate,
-    v: Vector,
-    lam: Vector,
-    q,
-) -> None:
-    # cross-check: the optimum must be the projection of eps*lam away from
-    # the span of its own support weights
-    support_weights = [subset[i] for i in cert.support if not is_zero_vector(subset[i])]
-    proj = project_out_span(lam, support_weights, q)
-    if proj != v:
-        raise InternalInconsistency(
-            "minimum-norm point disagrees with the orthogonal projection of the character"
-        )
-    # every support weight pairs with the closest point exactly as the
-    # closest point pairs with itself (the fixed-locus condition)
-    x = cert.point
-    xx = pair(x, x, q)
-    for i in cert.support:
-        vertex = EpsVector(subset[i], lam)
-        if pair(vertex, x, q) != xx:
-            raise InternalInconsistency("support weight violates the fixed-locus pairing")
-
-
 def _support_indices(
     support_weights: tuple[Vector, ...], weights: tuple[Vector, ...]
 ) -> tuple[int, ...]:
-    # map each distinct support weight (alpha0 excluded) to the first
-    # stratify-weight index carrying that vector
+    # map each distinct support weight to the first stratify-weight index
+    # carrying that vector
     out = set()
     for w in support_weights:
         out.add(weights.index(w))
@@ -274,17 +243,14 @@ def classify_point(
     for i in support:
         if not 0 <= i < len(weights):
             raise InvalidParameter(f"support index {i} out of range")
-    lam = chi.vec
-    zero = vec_zero(ws.rank)
-    members = sorted({weights[i] for i in support})
-    vertices = [EpsVector(zero, lam)] + [EpsVector(w, lam) for w in members]
-    cert = min_norm_point(Polytope(tuple(vertices), group.form), cap)
-    x = cert.point
-    if not is_zero_vector(x.const):
-        raise InternalInconsistency("point classification left the affine chart")
-    if is_zero_vector(x.lin):
+    members = sorted({weights[i] for i in support if not is_zero_vector(weights[i])})
+    if len(members) + 1 > cap:
+        raise CapExceeded(f"{len(members) + 1} vertices exceed the cap of {cap}")
+    table = gram_table(members, chi.vec, group.form)
+    v = min_norm_point(table, range(len(members))).direction
+    if is_zero_vector(v):
         return "semistable"
-    beta_neg = primitive_rescale(vec_neg(x.lin))
+    beta_neg = primitive_rescale(vec_neg(v))
     result = enumerated or enumerate_kn(ws, chi, group, orientation, cap)
     for stratum in result.strata:
         if stratum.beta_neg == beta_neg:

@@ -206,3 +206,27 @@ def test_invalid_custom_group_rejected(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "strata", custom)
     assert code == 2  # roots not closed under negation
+
+
+def test_non_invariant_chi_rejected(tmp_path, capsys):
+    problem = {
+        "knx_version": 1,
+        "group": {"type": "gl", "n": 2},
+        "weights": [["1", "0"], ["0", "1"]],
+        "chi": ["1", "0"],
+    }
+    bad = tmp_path / "chi.json"
+    bad.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "strata", bad)
+    assert code == 2 and out == ""
+    assert "chi does not vanish on the root" in err
+    # a character of gl(2) is accepted
+    problem["chi"] = ["1", "1"]
+    bad.write_text(json.dumps(problem))
+    code, _, _ = run(capsys, "strata", bad)
+    assert code == 0
+    # a claimed rank far beyond chi's length fails on the length alone
+    problem["group"] = {"type": "gl", "n": 40}
+    bad.write_text(json.dumps(problem))
+    code, _, err = run(capsys, "strata", bad)
+    assert code == 2 and "chi length does not match rank" in err

@@ -2,174 +2,136 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knx.convex import Polytope, hull_contains, min_norm_point, witnesses_compare
-from knx.errors import CapExceeded, InvalidParameter
+from knx.convex import gram_table, min_norm_point
+from knx.errors import CapExceeded
+from knx.groups import TorusCharacter, torus
 from knx.oracle import numeric_min_norm
-from knx.scalars import GramForm, eps_scalar, eps_vector, pair, vector
+from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vec_zero, vector
+from knx.strata import classify_point, span_candidates, weight_system
 
 Q2 = GramForm.identity(2)
+EPS0 = F(-1, 2**20)
 
 
-def _poly(verts, form=Q2):
-    return Polytope(tuple(verts), form)
+def _project(weights, chi, q=Q2):
+    weights = [vector(w) for w in weights]
+    return min_norm_point(gram_table(weights, vector(chi), q), range(len(weights)))
+
+
+def _oracle_direction(weights, chi, q):
+    # closest point of conv{0, w_i} + eps0*chi by exhaustive search, over eps0
+    vertices = [vec_zero(len(chi))] + list(weights)
+    concrete = [vec_add(w, vec_scale(EPS0, chi)) for w in vertices]
+    return vec_scale(1 / EPS0, numeric_min_norm(concrete, q))
+
+
+def _assert_kkt(weights, chi, proj, q):
+    p = vec_zero(len(chi))
+    for c, w in zip(proj.coefficients, weights):
+        assert c >= 0
+        p = vec_add(p, vec_scale(c, w))
+    v = vec_sub(chi, p)
+    assert proj.direction == v and proj.projection == p
+    assert all(q.apply(w, v) <= 0 for w in weights)
+    assert q.apply(p, v) == 0
 
 
 def test_min_norm_singleton():
-    p = _poly([eps_vector(["0", "0"], ["0", "1"])])
-    cert = min_norm_point(p)
-    assert cert.point == eps_vector(["0", "0"], ["0", "1"])
-    assert cert.support == (0,)
+    # the origin alone: the closest point of {eps*chi} is eps*chi
+    proj = _project([], ["0", "1"])
+    assert proj.direction == vector(["0", "1"])
+    assert proj.coefficients == ()
 
 
 def test_min_norm_perturbed_segment():
     # segment {eps*(0,1), (1,1)+eps*(0,1)}: the 1-d calculus oracle gives
-    # the foot at parameter t* = -eps/2, i.e. the point (-eps/2, eps/2)
-    p = _poly([eps_vector(["0", "0"], ["0", "1"]), eps_vector(["1", "1"], ["0", "1"])])
-    cert = min_norm_point(p)
-    assert cert.point == eps_vector(["0", "0"], ["-1/2", "1/2"])
-    assert cert.support == (0, 1)
+    # the foot at parameter t* = -eps/2, i.e. the point eps*(-1/2, 1/2)
+    proj = _project([["1", "1"]], ["0", "1"])
+    assert proj.direction == vector(["-1/2", "1/2"])
+    assert proj.coefficients == (F(1, 2),)
 
 
 def test_min_norm_symmetric_pair():
-    p = _poly([eps_vector(["1", "0"], ["0", "1"]), eps_vector(["-1", "0"], ["0", "1"])])
-    cert = min_norm_point(p)
-    assert cert.point == eps_vector(["0", "0"], ["0", "1"])
+    proj = _project([["1", "0"], ["-1", "0"]], ["0", "1"])
+    assert proj.direction == vector(["0", "1"])
+    assert proj.coefficients == (0, 0)
 
 
 def test_min_norm_coefficients_reconstruct_point():
-    p = _poly(
-        [
-            eps_vector(["0", "0"], ["0", "1"]),
-            eps_vector(["1", "0"], ["0", "1"]),
-            eps_vector(["1", "1"], ["0", "1"]),
-        ]
-    )
-    cert = min_norm_point(p)
-    total = eps_scalar(0)
-    for c in cert.coefficients:
-        total = total + c
-    assert total == eps_scalar(1)
-    # componentwise reconstruction with exact eps arithmetic
-    for axis in range(2):
-        acc = eps_scalar(0)
-        for c, i in zip(cert.coefficients, cert.support):
-            v = p.vertices[i]
-            acc = acc + c * eps_scalar(v.const[axis], v.lin[axis])
-        assert acc == eps_scalar(cert.point.const[axis], cert.point.lin[axis])
-
-
-def test_hull_contains_examples():
-    seg = _poly([eps_vector(["1", "0"]), eps_vector(["-1", "0"])])
-    assert hull_contains(eps_vector(["0", "0"]), seg)
-    assert not hull_contains(eps_vector(["2", "0"]), seg)
-
-    tri = _poly(
-        [
-            eps_vector(["0", "0"], ["0", "1"]),
-            eps_vector(["1", "1"], ["0", "1"]),
-            eps_vector(["1", "0"], ["0", "1"]),
-        ]
-    )
-    assert not hull_contains(eps_vector(["0", "0"]), tri)
-
-
-def test_witnesses_compare_examples():
-    pts = [eps_vector(["0", "0"])]
-    assert witnesses_compare(eps_vector(["1", "0"]), eps_vector(["0", "0"]), pts, Q2)
-    assert not witnesses_compare(
-        eps_vector(["0", "0"]), eps_vector(["0", "0"]), [eps_vector(["1", "0"])], Q2
-    )
-    # p is itself one of the points, so distance 0 cannot be beaten
-    p = eps_vector(["0", "0"], ["0", "1"])
-    p_alt = eps_vector(["0", "0"], ["-1/2", "1/2"])
-    pts = [p, eps_vector(["1", "1"], ["0", "1"])]
-    assert not witnesses_compare(p, p_alt, pts, Q2)
+    weights = [vector(w) for w in (["1", "0"], ["1", "1"], ["-1", "2"])]
+    chi = vector(["1", "3"])
+    proj = _project(weights, chi)
+    _assert_kkt(weights, chi, proj, Q2)
+    assert proj.direction == vector(["0", "0"])  # chi lies inside the cone
 
 
 def test_min_norm_point_lies_in_hull_and_is_optimal():
+    # p lies in the cone and no other cone point on a grid is closer to chi
     rng = random.Random(5)
+    grid = [F(k, 2) for k in range(5)]
     for _ in range(60):
-        n = rng.randint(1, 5)
-        verts = [
-            eps_vector([rng.randint(-3, 3), rng.randint(-3, 3)], ["0", "1"])
-            for _ in range(n)
-        ]
-        p = _poly(verts)
-        cert = min_norm_point(p)
-        assert hull_contains(cert.point, p)
-        for s in verts:
-            assert pair(cert.point, s - cert.point, Q2).sign() >= 0
-
-
-def test_translation_covariance_eps_free():
-    rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        verts = [vector([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(n)]
-        t = vector([rng.randint(-2, 2), rng.randint(-2, 2)])
-        x = min_norm_point(_poly([eps_vector(v) for v in verts])).point
-        shifted = [tuple(a + b for a, b in zip(v, t)) for v in verts]
-        xs = tuple(a + b for a, b in zip(x.const, t))
-        # the closest point to t in the shifted hull is x + t: check the
-        # variational inequality and membership directly
-        sp = _poly([eps_vector(v) for v in shifted])
-        assert hull_contains(eps_vector(xs), sp)
-        for v in shifted:
-            gap = Q2.apply(tuple(a - b for a, b in zip(xs, t)), tuple(a - b for a, b in zip(v, xs)))
-            assert gap >= 0
+        weights = [vector([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(rng.randint(1, 3))]
+        chi = vector([rng.randint(-3, 3), rng.randint(-3, 3)])
+        proj = _project(weights, chi)
+        _assert_kkt(weights, chi, proj, Q2)
+        best = Q2.norm2(proj.direction)
+        for a in grid:
+            for b in grid:
+                y = vec_add(vec_scale(a, weights[0]), vec_scale(b, weights[-1]))
+                assert Q2.norm2(vec_sub(chi, y)) >= best
 
 
 def test_min_norm_agrees_with_bruteforce_oracle():
     rng = random.Random(2024)
+    forms = {1: [GramForm.identity(1)], 2: [Q2, GramForm.from_rows([["2", "1"], ["1", "3"]])],
+             3: [GramForm.identity(3)]}
     for trial in range(200):
         rank = rng.randint(1, 3)
-        q = GramForm.identity(rank)
+        q = rng.choice(forms[rank])
         n = rng.randint(1, 7)
-        verts = [
+        weights = [
             vector([F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(rank)])
             for _ in range(n)
         ]
-        sym = min_norm_point(Polytope(tuple(eps_vector(v) for v in verts), q)).point
-        assert all(x == 0 for x in sym.lin)
-        oracle = numeric_min_norm(verts, q)
-        assert sym.const == oracle
+        weights = [w for w in dict.fromkeys(weights) if any(w)]
+        chi = vector([rng.randint(-3, 3) for _ in range(rank)])
+        proj = _project(weights, chi, q)
+        assert proj.direction == _oracle_direction(weights, chi, q), trial
 
 
-def test_hull_contains_vs_witness_beaters():
-    rng = random.Random(31)
-    grid = [F(n, 2) for n in range(-4, 5)]
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        verts = [eps_vector([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(n)]
-        p = eps_vector([rng.randint(-2, 2), rng.randint(-2, 2)])
-        poly = _poly(verts)
-        inside = hull_contains(p, poly)
-        beaten = False
-        for gx in grid:
-            for gy in grid:
-                alt = eps_vector([gx, gy])
-                if alt != p and witnesses_compare(p, alt, verts, Q2):
-                    beaten = True
-                    break
-            if beaten:
-                break
-        if beaten:
-            assert not inside
+_entries = st.integers(-3, 3)
 
 
-def test_vertex_cap():
-    verts = [eps_vector([i, 0]) for i in range(5)]
+@st.composite
+def _cone_problems(draw):
+    rank = draw(st.integers(1, 3))
+    vec = st.tuples(*[_entries] * rank).map(vector)
+    weights = draw(st.lists(vec.filter(any), max_size=5, unique=True))
+    return weights, draw(vec)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_cone_problems())
+def test_cone_projection_certificate_and_oracle(problem):
+    weights, chi = problem
+    q = GramForm.identity(len(chi))
+    proj = _project(weights, chi, q)
+    _assert_kkt(weights, chi, proj, q)
+    assert proj.direction == _oracle_direction(weights, chi, q)
+
+
+def test_vertex_cap(monkeypatch):
+    # the cap fails before any pairing is computed
+    def no_pairing(*args):
+        raise AssertionError("pairing computed before the cap check")
+
+    monkeypatch.setattr(GramForm, "apply", no_pairing)
+    ws = weight_system([[str(i), "0"] for i in range(5)], "raw")
+    chi = TorusCharacter(vector(["0", "1"]))
     with pytest.raises(CapExceeded):
-        min_norm_point(_poly(verts), cap=4)
+        next(span_candidates(ws, chi, torus(2), cap=4))
     with pytest.raises(CapExceeded):
-        hull_contains(eps_vector(["0", "0"]), _poly(verts), cap=4)
-
-
-def test_polytope_validation():
-    with pytest.raises(InvalidParameter):
-        Polytope((), Q2)
-    with pytest.raises(InvalidParameter):
-        Polytope((eps_vector(["1"]), eps_vector(["1", "2"])), Q2)
-    with pytest.raises(InvalidParameter):
-        Polytope((eps_vector(["1", "0"], ["1", "0"]), eps_vector(["1", "0"], ["0", "1"])), Q2)
+        classify_point(range(5), ws, chi, torus(2), cap=4)

@@ -3,22 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from knx.errors import DegreeOverflow, InvalidParameter
-from knx.scalars import (
-    NEGATIVE,
-    POSITIVE,
-    ZERO_SIGN,
-    EpsVector,
-    GramForm,
-    eps_scalar,
-    eps_sign,
-    eps_vector,
-    pair,
-    project_out_span,
-    rat,
-    rat_str,
-    vector,
-)
+from knx.errors import InvalidParameter
+from knx.scalars import GramForm, project_out_span, rat, rat_str, vector
 
 
 def test_rat_parsing():
@@ -39,71 +25,16 @@ def test_rat_str_roundtrip():
     assert rat(rat_str(F(22, 7))) == F(22, 7)
 
 
-def test_eps_sign_examples():
-    assert eps_sign(eps_scalar(3, 0, 0)) == POSITIVE
-    assert eps_sign(eps_scalar(0, 2, 0)) == NEGATIVE  # eps < 0 flips the linear term
-    assert eps_sign(eps_scalar(0, 0, 5)) == POSITIVE  # eps^2 > 0
-    assert eps_sign(eps_scalar(0, 0, 0)) == ZERO_SIGN
-    assert eps_sign(eps_scalar(0, -1, 100)) == POSITIVE
-    assert eps_sign(eps_scalar(F(-1, 10), -1, 0)) == NEGATIVE
-
-
-def test_eps_sign_compatible_with_addition():
-    rng = random.Random(11)
-    for _ in range(500):
-        x = eps_scalar(rng.randint(0, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        y = eps_scalar(rng.randint(0, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        if x.sign() == POSITIVE and y.sign() == POSITIVE:
-            assert (x + y).sign() == POSITIVE
-
-
-def test_eps_sign_matches_numeric_evaluation_when_stable():
-    rng = random.Random(7)
-    eps_values = [F(-1, 2**k) for k in range(20, 31)]
-    checked = 0
-    for _ in range(1000):
-        x = eps_scalar(
-            F(rng.randint(-4, 4), rng.randint(1, 5)),
-            F(rng.randint(-4, 4), rng.randint(1, 5)),
-            F(rng.randint(-4, 4), rng.randint(1, 5)),
-        )
-        for e0, e1 in zip(eps_values, eps_values[1:]):
-            s0 = _num_sign(x.evaluate(e0))
-            s1 = _num_sign(x.evaluate(e1))
-            if s0 == s1:
-                assert eps_sign(x) == s0
-                checked += 1
-    assert checked > 1000  # the stability condition holds essentially always
-
-
-def _num_sign(v: F) -> int:
-    return POSITIVE if v > 0 else NEGATIVE if v < 0 else ZERO_SIGN
-
-
-def test_eps_arithmetic_and_overflow():
-    a = eps_scalar(1, 2, 0)
-    b = eps_scalar(0, 1, 0)
-    assert a + b == eps_scalar(1, 3, 0)
-    assert a - b == eps_scalar(1, 1, 0)
-    assert a * b == eps_scalar(0, 1, 2)
-    with pytest.raises(DegreeOverflow):
-        _ = eps_scalar(0, 1, 0) * eps_scalar(0, 0, 1)
-    with pytest.raises(DegreeOverflow):
-        _ = eps_scalar(0, 0, 1) * eps_scalar(0, 0, 1)
-
-
 def test_pair_examples():
     q = GramForm.identity(2)
-    u = eps_vector(["1", "0"])
-    v = eps_vector(["0", "1"])
-    assert pair(u, v, q).is_zero()
+    assert q.apply(vector(["1", "0"]), vector(["0", "1"])) == 0
+    assert q.norm2(vector(["0", "1"])) == 1
+    assert q.apply(vector(["1", "1"]), vector(["1", "0"])) == 1
 
-    w = eps_vector(["0", "0"], ["0", "1"])  # the vector eps*(0,1)
-    assert pair(w, w, q) == eps_scalar(0, 0, 1)
-
-    x = eps_vector(["1", "1"], ["0", "1"])
-    y = eps_vector(["1", "0"])
-    assert pair(x, y, q) == eps_scalar(1, 0, 0)
+    w = GramForm.from_rows([["2", "1"], ["1", "3"]])
+    u, v = vector(["1", "-1"]), vector(["1/2", "2"])
+    assert w.apply(u, v) == w.apply(v, u) == F(-7, 2)
+    assert w.norm2(u) == 3
 
 
 def test_project_out_span_examples():
@@ -140,10 +71,3 @@ def test_gram_form_validation():
         GramForm.from_rows([["1", "2"], ["1", "1"]])  # not symmetric
     with pytest.raises(InvalidParameter):
         GramForm.from_rows([["1", "2"], ["2", "1"]])  # indefinite
-
-
-def test_eps_vector_shapes():
-    with pytest.raises(InvalidParameter):
-        EpsVector(vector(["1"]), vector(["1", "2"]))
-    v = eps_vector(["1", "2"], ["0", "1"])
-    assert v.evaluate(F(-1, 4)) == vector(["1", "7/4"])

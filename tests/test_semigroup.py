@@ -7,7 +7,6 @@ from knx.errors import InvalidParameter
 from knx.semigroup import (
     SetDescription,
     describe_members,
-    forbidden_set_description,
     membership,
     reduce_union,
     semigroup_from_generators,
@@ -54,7 +53,7 @@ def test_zero_semigroup():
     s = semigroup_from_generators([])
     assert s.is_zero
     assert s.member(F(0)) and not s.member(F(1))
-    desc = forbidden_set_description(s, F(1, 2))
+    desc = describe_members(s, F(1, 2))
     assert desc.modulus == 0 and desc.contains(F(1, 2)) and not desc.contains(F(1))
 
 
@@ -87,7 +86,7 @@ def test_description_sound_on_window():
     for trial in range(30):
         gens = sorted({rng.randint(2, 15) for _ in range(rng.randint(1, 3))})
         s = semigroup_from_generators([F(g) for g in gens])
-        desc = forbidden_set_description(s, F(0))
+        desc = describe_members(s, F(0))
         hi = s.conductor + 3 * max(s.content, 1)
         table = naive_members(gens, hi)
         for m in range(hi + 1):
@@ -110,10 +109,10 @@ def test_witness_decomposition_reverifies():
 
 
 def test_forbidden_set_descriptions():
-    assert forbidden_set_description(semigroup_from_generators([F(1)]), F(1, 2)).render() == "1/2 + Z>=0"
+    assert describe_members(semigroup_from_generators([F(1)]), F(1, 2)).render() == "1/2 + Z>=0"
     half = semigroup_from_generators([F(1, 2)])
-    assert forbidden_set_description(half, F(1)).render() == "1 + (1/2)*Z>=0"
-    s23 = forbidden_set_description(semigroup_from_generators([F(2), F(3)]), F(0))
+    assert describe_members(half, F(1)).render() == "1 + (1/2)*Z>=0"
+    s23 = describe_members(semigroup_from_generators([F(2), F(3)]), F(0))
     assert s23.render() == "0 + Z>=0 minus {1}"
     assert not s23.contains(F(1)) and s23.contains(F(2)) and s23.contains(F(0))
 

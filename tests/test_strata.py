@@ -163,43 +163,43 @@ def test_classify_point_guards():
 
 
 def test_span_dedup_matches_full_subset_enumeration():
-    # the span shortcut must lose nothing: brute-force every weight subset
-    # (origin weight adjoined) and compare directions and semistability
+    # the span shortcut must lose nothing: brute-force every set of distinct
+    # weights (origin adjoined) with the concrete-eps oracle and compare
+    # directions and semistability
     from itertools import combinations
 
-    from knx.convex import Polytope, min_norm_point
     from knx.groups import primitive_rescale
-    from knx.oracle import random_problem
-    from knx.scalars import EpsVector, is_zero_vector, vec_neg, vec_zero
+    from knx.oracle import numeric_min_norm
+    from knx.scalars import is_zero_vector, vec_add, vec_neg, vec_scale, vec_zero
 
+    eps0 = F(-1, 2**20)
     for seed in range(30):
         p = random_problem(1 + seed % 2, 2 + seed % 3, 8800 + seed)
-        weights = p.weights.stratify_weights
+        distinct = sorted(set(p.weights.stratify_weights))
         lam = p.chi.vec
         zero = vec_zero(p.weights.rank)
         brute_dirs = set()
         brute_semistable = False
-        for size in range(len(weights) + 1):
-            for combo in combinations(range(len(weights)), size):
-                verts = [EpsVector(zero, lam)] + [
-                    EpsVector(weights[i], lam) for i in sorted(set(combo))
-                ]
-                x = min_norm_point(Polytope(tuple(verts), p.group.form)).point
-                assert is_zero_vector(x.const)
-                if is_zero_vector(x.lin):
+        for size in range(len(distinct) + 1):
+            for combo in combinations(distinct, size):
+                verts = [vec_add(w, vec_scale(eps0, lam)) for w in (zero,) + combo]
+                v = vec_scale(1 / eps0, numeric_min_norm(verts, p.group.form))
+                if is_zero_vector(v):
                     brute_semistable = True
                 else:
-                    brute_dirs.add(primitive_rescale(vec_neg(x.lin)))
+                    brute_dirs.add(primitive_rescale(vec_neg(v)))
         kn = enumerate_kn(p.weights, p.chi, p.group)
         assert {s.beta_neg for s in kn.strata} == brute_dirs, seed
         assert kn.semistable_nonempty == brute_semistable, seed
 
 
 def test_span_certificates_pair_equally_on_support():
-    # every candidate's support vertices pair with the optimum exactly as
-    # the optimum pairs with itself (checked here over a golden problem,
-    # in addition to the hard assert inside the enumerator)
-    from knx.scalars import EpsVector, pair, vec_zero
+    # every flat's defining support pairs with v exactly as the projection
+    # p = chi - v does, namely to 0 (the fixed-locus condition), and every
+    # weight of the flat pairs nonpositively with v (checked here over a
+    # golden problem, in addition to the certificate inside the solver)
+    from knx.convex import cone_support
+    from knx.scalars import vec_sub
     from knx.strata import span_candidates
 
     ws = weight_system(
@@ -209,11 +209,14 @@ def test_span_certificates_pair_equally_on_support():
     g = gl(2)
     chi = TorusCharacter(vector(["1", "1"]))
     seen = 0
-    for subset, cert in span_candidates(ws, chi, g):
-        xx = pair(cert.point, cert.point, g.form)
-        for i in cert.support:
-            vertex = EpsVector(subset[i], chi.vec)
-            assert pair(vertex, cert.point, g.form) == xx
+    for table, proj in span_candidates(ws, chi, g):
+        v = proj.direction
+        p = vec_sub(chi.vec, v)
+        assert g.form.apply(p, v) == 0
+        for i in proj.members:
+            assert g.form.apply(table.weights[i], v) <= 0
+        for w in cone_support(proj, table):
+            assert g.form.apply(w, v) == 0
         seen += 1
     assert seen >= 4
 
