@@ -11,6 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from .convex import DEFAULT_VERTEX_CAP
 from .engine import CERTIFIED, check, forbidden
@@ -67,8 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call, not at import: in-process callers reuse it
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cap = args.max_weights if args.max_weights is not None else DEFAULT_VERTEX_CAP
     try:
         problem = load_problem(args.file, cap)

@@ -7,7 +7,7 @@ Floats are rejected outright; unknown keys are rejected; the version key
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .engine import ExactnessProblem
 from .errors import InvalidParameter, KnxError, SchemaError
@@ -52,7 +52,7 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem
         if key not in data:
             raise SchemaError(f'missing required key "{key}"')
     try:
-        group = _parse_group(data["group"])
+        rank, build_group = _parse_group(data["group"])
         weights = _parse_weights(data["weights"], data.get("mode", "cotangent"))
         chi = TorusCharacter(_parse_vector(data["chi"], "chi"))
         c = _parse_character(data.get("c"))
@@ -67,8 +67,9 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem
                 data.get("drop_strata", []), "drop_strata"
             )
         )
+        _check_lengths(rank, weights, chi, c)
         return ExactnessProblem(
-            group=group,
+            group=build_group(),
             weights=weights,
             chi=chi,
             c=c,
@@ -112,25 +113,32 @@ def _parse_weights(value, mode) -> WeightSystem:
     return WeightSystem(vecs, mode)
 
 
-def _parse_group(value) -> GroupData:
+def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
+    """The claimed rank and a builder of the group.
+
+    Presets are built only when called, after the problem's vector lengths
+    have been checked against the rank: building gl(n) costs O(n^3), so a
+    short file claiming a huge n is rejected without building anything.
+    """
     if not isinstance(value, dict):
         raise SchemaError("group must be an object")
     kind = value.get("type")
     if kind == "torus":
         _allow_keys(value, {"type", "rank"})
-        return torus(_require_int(value.get("rank"), "rank"))
-    if kind == "gl":
+        rank = _require_positive_int(value.get("rank"), "rank")
+        return rank, lambda: torus(rank)
+    if kind in ("gl", "sl"):
         _allow_keys(value, {"type", "n"})
-        return gl(_require_int(value.get("n"), "n"))
-    if kind == "sl":
-        _allow_keys(value, {"type", "n"})
-        return sl(_require_int(value.get("n"), "n"))
+        n = _require_positive_int(value.get("n"), "n")
+        make = gl if kind == "gl" else sl
+        return n, lambda: make(n)
     if kind == "product":
         _allow_keys(value, {"type", "factors"})
         factors = _require_list(value.get("factors"), "factors")
         if not factors:
             raise SchemaError("product needs factors")
-        return product([_parse_group(f) for f in factors])
+        parsed = [_parse_group(f) for f in factors]
+        return sum(r for r, _ in parsed), lambda: product([build() for _, build in parsed])
     if kind == "custom":
         _allow_keys(value, {"type", "rank", "roots", "simple_roots", "form", "label"})
         rank = _require_int(value.get("rank"), "rank")
@@ -143,8 +151,24 @@ def _parse_group(value) -> GroupData:
         form_rows = None
         if form is not None:
             form_rows = [_parse_vector(r, "form row") for r in _require_list(form, "form")]
-        return group_data(rank, roots, simple, form_rows, str(value.get("label", "custom")))
+        group = group_data(rank, roots, simple, form_rows, str(value.get("label", "custom")))
+        return group.rank, lambda: group
     raise SchemaError(f"unknown group type {kind!r}")
+
+
+def _check_lengths(
+    rank: int, weights: WeightSystem, chi: TorusCharacter, c: LieCharacter | None
+) -> None:
+    """The length checks of ExactnessProblem and the strata enumeration,
+    with their messages, made before the group is built."""
+    if len(chi.vec) != rank:
+        raise SchemaError("chi length does not match rank")
+    if c is not None:
+        for name, part in (("base", c.base), ("direction", c.direction)):
+            if part is not None and len(part) != rank:
+                raise SchemaError(f"character {name} length does not match rank")
+    if weights.rank != rank:
+        raise SchemaError("weights, character and group rank disagree")
 
 
 def _parse_character(value) -> LieCharacter | None:
@@ -172,6 +196,13 @@ def _require_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{what} must be an integer")
     return value
+
+
+def _require_positive_int(value, what: str) -> int:
+    n = _require_int(value, what)
+    if n < 1:
+        raise SchemaError(f"{what} must be >= 1")
+    return n
 
 
 def render_problem(problem: ExactnessProblem) -> dict:

@@ -1,15 +1,22 @@
 """Numerical semigroups of shifted weight combinations.
 
 A semigroup is stored as scaled integers: original generators equal
-scale * (integer generators).  Gaps and the conductor are found by a
-boolean DP that runs until min-generator-many consecutive multiples of
-the content are representable; past that point everything is.
+scale * (integer generators).  Dividing by the content (their gcd) gives
+reduced generators with smallest element a1, and the semigroup is kept as
+its Apery set with respect to a1: apery[r] is the least reduced member
+congruent to r mod a1, found by a shortest-path search over the residues
+(Nijenhuis 1979).  A reduced m is a member exactly when m >= apery[m % a1],
+so membership is O(1); the conductor and the gaps follow from the Apery
+set, and the gaps are only listed when a report reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from heapq import heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -22,12 +29,26 @@ class NumericalSemigroup:
     generators: tuple[int, ...]  # positive integers, sorted, deduplicated
     scale: Fraction  # original generators = scale * generators
     content: int  # gcd of the generators; 0 for the zero semigroup {0}
-    gaps: tuple[int, ...]  # non-representable elements of content*Z>=0
+    apery: tuple[int, ...]  # least reduced member per residue mod a1; () for {0}
     conductor: int  # every multiple of content >= conductor is representable
 
     @property
     def is_zero(self) -> bool:
         return self.content == 0
+
+    @cached_property
+    def reduced_gaps(self) -> tuple[int, ...]:
+        """Gaps divided by the content: r + j*a1 below apery[r], ascending."""
+        a1 = len(self.apery)
+        runs = (range(r, top, a1) for r, top in enumerate(self.apery))
+        return tuple(sorted(chain.from_iterable(runs)))
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """Non-representable elements of content*Z>=0, ascending."""
+        if self.content == 1:
+            return self.reduced_gaps
+        return tuple([self.content * m for m in self.reduced_gaps])
 
     def member_int(self, m: int) -> bool:
         """Membership for integers in the scaled (integer) semigroup."""
@@ -35,13 +56,8 @@ class NumericalSemigroup:
             return False
         if self.is_zero:
             return m == 0
-        if m % self.content != 0:
-            return False
-        return m >= self.conductor or m not in self._gap_set
-
-    @property
-    def _gap_set(self) -> frozenset[int]:
-        return frozenset(self.gaps)
+        q, rem = divmod(m, self.content)
+        return rem == 0 and q >= self.apery[q % len(self.apery)]
 
     def member(self, value: Fraction) -> bool:
         """Membership for exact rationals in scale * (integer semigroup)."""
@@ -64,47 +80,30 @@ def semigroup_from_generators(gens: Iterable[Fraction]) -> NumericalSemigroup:
     denom = lcm(*(g.denominator for g in originals))
     scale = Fraction(1, denom)
     ints = sorted({int(g * denom) for g in originals})
-    content = 0
-    for n in ints:
-        content = gcd(content, n)
-    gaps, conductor = _gaps_and_conductor(ints, content)
-    return NumericalSemigroup(tuple(ints), scale, content, tuple(gaps), conductor)
+    content = gcd(*ints)
+    apery = _apery_set([n // content for n in ints])
+    # the Frobenius number is max(apery) - a1; it is -1 when a1 = 1
+    conductor = content * (max(apery) - len(apery) + 1)
+    return NumericalSemigroup(tuple(ints), scale, content, apery, conductor)
 
 
-def _gaps_and_conductor(ints: Sequence[int], content: int) -> tuple[list[int], int]:
-    reduced = [n // content for n in ints]
-    smallest = min(reduced)
-    if smallest == 1:
-        return [], 0
-    bound = max(reduced) * smallest
-    while True:
-        table = _reach_table(reduced, bound)
-        run_start = _first_full_run(table, smallest)
-        if run_start is not None:
-            gaps = [content * m for m in range(run_start) if not table[m]]
-            conductor = content * (max(gaps) // content + 1) if gaps else 0
-            return gaps, conductor
-        bound *= 2  # the Frobenius number is finite; keep growing
-
-
-def _reach_table(reduced: Sequence[int], bound: int) -> list[bool]:
-    table = [False] * (bound + 1)
-    table[0] = True
-    for m in range(1, bound + 1):
-        for g in reduced:
-            if g <= m and table[m - g]:
-                table[m] = True
-                break
-    return table
-
-
-def _first_full_run(table: Sequence[bool], length: int) -> int | None:
-    run = 0
-    for m, ok in enumerate(table):
-        run = run + 1 if ok else 0
-        if run == length:
-            return m - length + 1
-    return None
+def _apery_set(reduced: Sequence[int]) -> tuple[int, ...]:
+    """Dijkstra over Z/a1: each other generator g is an edge r -> r + g of
+    weight g, so the distance to r is the least member congruent to r."""
+    a1 = reduced[0]
+    apery: list[int | None] = [0] + [None] * (a1 - 1)
+    heap = [0]
+    while heap:
+        m = heappop(heap)
+        if m > apery[m % a1]:
+            continue  # stale entry
+        for g in reduced[1:]:
+            n = m + g
+            best = apery[n % a1]
+            if best is None or n < best:
+                apery[n % a1] = n
+                heappush(heap, n)
+    return tuple(apery)  # gcd 1 reaches every residue
 
 
 def membership(semigroup: NumericalSemigroup, shift: Fraction, value: Fraction) -> bool:
@@ -118,30 +117,32 @@ def witness_decomposition(
     """Explicit counts n_i with value = shift + sum n_i * (scale*g_i).
 
     Only valid when membership holds; the identity is re-verified exactly.
+    The counts are canonical: the largest generator is taken until the
+    rest drops below conductor + g_max, then each step down takes the
+    smallest generator that leaves a member.
     """
     if not membership(semigroup, shift, value):
         raise InvalidParameter("value is not a member; no witness exists")
     if semigroup.is_zero:
         return ()
-    target = int((value - shift) / semigroup.scale)
-    counts: dict[int, int] = {}
-    g_max = semigroup.generators[-1]
-    # reduce to the DP window: anything past conductor + g_max steps down safely
-    while target >= semigroup.conductor + g_max:
-        counts[g_max] = counts.get(g_max, 0) + 1
-        target -= g_max
-    table: list[int | None] = [None] * (target + 1)
-    table[0] = 0
-    for m in range(1, target + 1):
-        for g in semigroup.generators:
-            if g <= m and table[m - g] is not None:
-                table[m] = g
-                break
-    if table[target] is None:
-        raise InternalInconsistency("membership and DP disagree")
-    m = target
+    gens = semigroup.generators
+    g1, g_max = gens[0], gens[-1]
+    a1, content, apery = len(semigroup.apery), semigroup.content, semigroup.apery
+    m = int((value - shift) / semigroup.scale)
+    top = max(0, (m - semigroup.conductor) // g_max)
+    counts = {g_max: top} if top else {}
+    m -= top * g_max
     while m > 0:
-        g = table[m]
+        q = m // content
+        # g1 keeps the residue mod a1, so it is taken while q stays >= apery
+        run = (q - apery[q % a1]) // a1
+        if run:
+            counts[g1] = counts.get(g1, 0) + run
+            m -= run * g1
+            continue
+        g = next((g for g in gens[1:] if semigroup.member_int(m - g)), None)
+        if g is None:
+            raise InternalInconsistency("membership and the Apery set disagree")
         counts[g] = counts.get(g, 0) + 1
         m -= g
     witness = tuple(
@@ -169,6 +170,10 @@ class SetDescription:
     empty: bool = False
     full: bool = False
 
+    @cached_property
+    def _gap_set(self) -> frozenset[int]:
+        return frozenset(self.gaps)
+
     def contains(self, x: Fraction) -> bool:
         if self.empty:
             return False
@@ -180,7 +185,7 @@ class SetDescription:
         if k.denominator != 1 or k < 0:
             return False
         k = int(k)
-        return k >= self.conductor or k not in self.gaps
+        return k >= self.conductor or k not in self._gap_set
 
     def render(self) -> str:
         if self.empty:
@@ -219,17 +224,16 @@ class SetDescription:
             return False
         r = int(ratio)
         j0 = int(j0)
-        # indices of self past this point land at or beyond other's conductor
-        k_high = max(1, -(-(other.conductor - j0) // r))  # ceil, at least 1
-        for k in range(0, k_high):
-            if k in self.gaps:
-                continue
-            j = j0 + r * k
-            if j < 0:
-                return False
-            if j < other.conductor and j in other.gaps:
-                return False
-        return True
+        # self's k-th point is other's (j0 + r*k)-th: none may fall before
+        # other's offset, nor on one of other's gaps
+        own_gaps = self._gap_set
+        if any(k not in own_gaps for k in range(-(j0 // r))):
+            return False
+        return not any(
+            (j - j0) % r == 0 and (j - j0) // r not in own_gaps
+            for j in other.gaps
+            if j0 <= j < other.conductor
+        )
 
 
 def describe_members(
@@ -242,7 +246,7 @@ def describe_members(
     return SetDescription(
         offset=shift,
         modulus=step,
-        gaps=tuple(g // semigroup.content for g in semigroup.gaps),
+        gaps=semigroup.reduced_gaps,
         conductor=semigroup.conductor // semigroup.content,
     )
 

@@ -154,7 +154,7 @@ def test_criterion_6_semigroup_soundness():
         desc = describe_members(s, F(0))
         for m in range(hi + 1):
             assert desc.contains(F(m)) == (m in desc_window), (gens, m)
-    print("ACCEPTANCE 6 (semigroup DP vs naive enumeration, 50 seeded sets): PASS")
+    print("ACCEPTANCE 6 (Apery-set semigroup vs naive enumeration, 50 seeded sets): PASS")
 
 
 def test_criterion_7_invariance_suite():

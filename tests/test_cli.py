@@ -1,4 +1,5 @@
 import json
+import time
 
 from knx.cli import main
 from knx.problemfile import load_problem, parse_problem, render_problem
@@ -230,3 +231,29 @@ def test_non_invariant_chi_rejected(tmp_path, capsys):
     bad.write_text(json.dumps(problem))
     code, _, err = run(capsys, "strata", bad)
     assert code == 2 and "chi length does not match rank" in err
+
+
+def test_rank_claims_checked_before_the_group_is_built(tmp_path, capsys):
+    bad = tmp_path / "claim.json"
+
+    def rejected(problem, command="strata"):
+        bad.write_text(json.dumps({"knx_version": 1, **problem}))
+        code, out, err = run(capsys, command, bad)
+        assert code == 2 and out == ""
+        return err
+
+    start = time.perf_counter()
+    err = rejected({"group": {"type": "gl", "n": 100000}, "weights": [["1"]], "chi": ["1"]})
+    assert time.perf_counter() - start < 0.5  # gl(100000) would take hours
+    assert "chi length does not match rank" in err
+    product = {"type": "product", "factors": [{"type": "sl", "n": 100000}, {"type": "torus", "rank": 1}]}
+    err = rejected({"group": product, "weights": [["1", "2"]], "chi": ["1", "1"]})
+    assert "chi length does not match rank" in err
+    err = rejected({"group": {"type": "gl", "n": 2}, "weights": [["1", "0"]], "chi": ["1", "1"],
+                    "c": {"base": ["1", "0", "0"]}}, "check")
+    assert "character base length does not match rank" in err
+    err = rejected({"group": {"type": "torus", "rank": 2}, "weights": [["1", "0", "1"]],
+                    "chi": ["1", "1"]})
+    assert "weights, character and group rank disagree" in err
+    err = rejected({"group": {"type": "gl", "n": 0}, "weights": [["1"]], "chi": ["1"]})
+    assert "n must be >= 1" in err

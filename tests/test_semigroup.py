@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knx.errors import InvalidParameter
 from knx.semigroup import (
@@ -149,3 +153,140 @@ def test_negative_offset_alignment():
     shifted = SetDescription(offset=F(-2), modulus=F(1))
     assert a.subset_of(shifted)
     assert not shifted.subset_of(a)  # -2 and -1 are not in a
+
+
+# --- properties of the Apery-set representation -------------------------
+
+def naive_gaps_and_conductor(gens: list[int]) -> tuple[tuple[int, ...], int]:
+    """Gaps of content*Z>=0 by enumeration; the table runs past the
+    Frobenius number, which is below content * max(gens)**2."""
+    content = gcd(*gens)
+    bound = content * max(gens) ** 2
+    table = naive_members(gens, bound)
+    gaps = tuple(m for m in range(0, bound, content) if m not in table)
+    return gaps, gaps[-1] + content if gaps else 0
+
+
+def dp_witnesses(gens: tuple[int, ...], conductor: int, targets: list[int]) -> list[dict]:
+    """Counts of the boolean-DP witness that the Apery walk replaced: strip
+    g_max down to the window below conductor + g_max, then follow a table
+    that stores the smallest generator reaching each value."""
+    g_max = gens[-1]
+    table: list[int | None] = [None] * (conductor + g_max)
+    table[0] = 0
+    for m in range(1, len(table)):
+        for g in gens:
+            if g <= m and table[m - g] is not None:
+                table[m] = g
+                break
+    out = []
+    for target in targets:
+        counts: dict[int, int] = {}
+        while target >= conductor + g_max:
+            counts[g_max] = counts.get(g_max, 0) + 1
+            target -= g_max
+        m = target
+        while m > 0:
+            g = table[m]
+            counts[g] = counts.get(g, 0) + 1
+            m -= g
+        out.append(counts)
+    return out
+
+
+_gens = st.lists(st.integers(1, 14), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_gens)
+def test_apery_membership_gaps_conductor_match_enumeration(gens):
+    s = semigroup_from_generators([F(g) for g in gens])
+    gaps, conductor = naive_gaps_and_conductor(gens)
+    assert s.gaps == gaps and s.conductor == conductor
+    table = naive_members(gens, conductor + 3 * max(gens))
+    for m in range(-2, conductor + 3 * max(gens) + 1):
+        assert s.member_int(m) == (m in table), (gens, m)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.integers(2, 14), min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(-6, 6), st.integers(0, 10**4))
+@example([3, 4, 8], 1, 0, 0)  # at 8 both 4 and 8 leave a member; the DP takes 4
+def test_witness_equals_dp_witness(gens, den, shift_num, far):
+    s = semigroup_from_generators([F(g, den) for g in gens])
+    shift = F(shift_num, den)
+    # every value up to two steps of g_max past the conductor, and one far out
+    targets = [*range(s.conductor + 2 * s.generators[-1]), s.conductor + far]
+    members = [m for m in targets if s.member_int(m)]
+    for m, counts in zip(members, dp_witnesses(s.generators, s.conductor, members)):
+        expected = tuple((s.scale * g, counts[g]) for g in sorted(counts))
+        assert witness_decomposition(s, shift, shift + s.scale * m) == expected
+    gap = next((m for m in targets if not s.member_int(m)), None)
+    if gap is not None:
+        with pytest.raises(InvalidParameter):
+            witness_decomposition(s, shift, shift + s.scale * gap)
+
+
+def brute_set(gens: list[int], shift: F, unit: F, window: int) -> tuple[list[F], object]:
+    """The points shift + unit*m for the members m < window of the integer
+    semigroup, and a membership test for the whole set."""
+    if not gens:
+        return [shift], lambda x: x == shift
+    bound = max(window, max(gens) ** 2)  # past the Frobenius number
+    table = naive_members(gens, bound)
+    content = gcd(*gens)
+
+    def contains(x: F) -> bool:
+        m = (x - shift) / unit
+        if m.denominator != 1 or m < 0:
+            return False
+        return m in table if m <= bound else m % content == 0
+
+    return [shift + unit * m for m in sorted(table) if m < window], contains
+
+
+_units = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(1, 3), F(2, 3), F(3, 2)])
+_sides = st.tuples(
+    st.lists(st.integers(1, 9), max_size=3),  # generators; [] is {0}
+    st.integers(-8, 8),  # offset, in steps of 1/2
+    _units,
+    st.booleans(),  # negative direction
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sides, _sides, st.sampled_from(["free", "lattice", "nested"]))
+@example(([1], 1, F(1), False), ([2, 3], 0, F(1), False), "nested")  # offset on a gap
+def test_subset_of_matches_brute_force(mine, theirs, placement):
+    gens_o, offset_o, unit_o, negative_o = theirs
+    shift_o, unit_o = F(offset_o, 2), -unit_o if negative_o else unit_o
+    other = describe_members(semigroup_from_generators([F(g) for g in gens_o]), shift_o, unit_o)
+    gens_d, offset_d, unit_d, negative_d = mine
+    shift_d = F(offset_d, 2)
+    if placement != "free" and other.modulus != 0:
+        shift_d = other.offset + offset_d * other.modulus  # on other's lattice
+        if placement == "nested" and gens_d:
+            # d's step is a whole multiple of other's step
+            unit_d = other.modulus * unit_d.numerator / gcd(*gens_d)
+    unit_d = -unit_d if negative_d else unit_d
+    d = describe_members(semigroup_from_generators([F(g) for g in gens_d]), shift_d, unit_d)
+    # A point of d that other misses has index k below both conductors
+    # (each < 9**2) plus other's index of d's offset plus the denominator
+    # of the step ratio; indices count d's steps of content * unit.
+    offset_steps = abs(shift_d - shift_o) / abs(unit_o)
+    window = max(gens_d, default=1) * (200 + int(offset_steps))
+    points, _ = brute_set(gens_d, shift_d, unit_d, window)
+    _, other_contains = brute_set(gens_o, shift_o, unit_o, window)
+    assert d.subset_of(other) == all(other_contains(x) for x in points)
+
+
+def test_witness_far_past_the_conductor_is_fast():
+    shift = F(-7, 2)
+    for gens in ([F(1999, 2000), F(1)],  # conductor ~ 4e6
+                 [F(1, 10**9), F(1)]):  # 10**9 steps of the smallest generator
+        s = semigroup_from_generators(gens)
+        value = shift + 10**12 + F(1, 2000)
+        start = time.perf_counter()
+        witness = witness_decomposition(s, shift, value)
+        assert time.perf_counter() - start < 1.0
+        assert shift + sum(g * n for g, n in witness) == value
