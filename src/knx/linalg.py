@@ -117,23 +117,3 @@ def solve_exact(
         if red[r][n] != 0:
             return None
     return sol
-
-
-def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = ONE / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det

@@ -116,9 +116,10 @@ def _parse_weights(value, mode) -> WeightSystem:
 def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
     """The claimed rank and a builder of the group.
 
-    Presets are built only when called, after the problem's vector lengths
-    have been checked against the rank: building gl(n) costs O(n^3), so a
-    short file claiming a huge n is rejected without building anything.
+    Groups are built only when called, after the problem's vector lengths
+    have been checked against the rank: building gl(n) costs O(n^3) and a
+    custom group's identity form rank^2, so a short file claiming a huge
+    rank is rejected without building anything.
     """
     if not isinstance(value, dict):
         raise SchemaError("group must be an object")
@@ -141,7 +142,7 @@ def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
         return sum(r for r, _ in parsed), lambda: product([build() for _, build in parsed])
     if kind == "custom":
         _allow_keys(value, {"type", "rank", "roots", "simple_roots", "form", "label"})
-        rank = _require_int(value.get("rank"), "rank")
+        rank = _require_positive_int(value.get("rank"), "rank")
         roots = [_parse_vector(r, "root") for r in _require_list(value.get("roots", []), "roots")]
         simple = [
             _parse_vector(r, "simple root")
@@ -151,8 +152,8 @@ def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
         form_rows = None
         if form is not None:
             form_rows = [_parse_vector(r, "form row") for r in _require_list(form, "form")]
-        group = group_data(rank, roots, simple, form_rows, str(value.get("label", "custom")))
-        return group.rank, lambda: group
+        label = str(value.get("label", "custom"))
+        return rank, lambda: group_data(rank, roots, simple, form_rows, label)
     raise SchemaError(f"unknown group type {kind!r}")
 
 
@@ -192,17 +193,12 @@ def _allow_keys(obj: dict, allowed: set) -> None:
         raise SchemaError(f"unknown keys: {sorted(unknown)}")
 
 
-def _require_int(value, what: str) -> int:
+def _require_positive_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{what} must be an integer")
-    return value
-
-
-def _require_positive_int(value, what: str) -> int:
-    n = _require_int(value, what)
-    if n < 1:
+    if value < 1:
         raise SchemaError(f"{what} must be >= 1")
-    return n
+    return value
 
 
 def render_problem(problem: ExactnessProblem) -> dict:

@@ -40,7 +40,7 @@ def stratum_json(s: KNStratum) -> dict:
         "direction": _vec(s.direction),
         "q_norm": rat_str(s.q_norm),
         "defining_indices": list(s.defining_indices),
-        "defining_includes_origin": s.defining_includes_origin,
+        "defining_includes_origin": True,
         "v_plus": list(s.v_plus),
         "v_zero": list(s.v_zero),
         "v_minus": list(s.v_minus),
@@ -94,8 +94,8 @@ def strata_report(problem: ExactnessProblem, result: KNResult, as_json: bool) ->
         f"group {problem.group.label})"
     ]
     for i, (s, entry, desc) in enumerate(zip(result.strata, enriched, descriptions), 1):
-        origin = "a0" + ("+" if s.defining_indices else "") if s.defining_includes_origin else ""
-        subset = origin + ",".join(str(j) for j in s.defining_indices)
+        subset = "a0" + ("+" if s.defining_indices else "")
+        subset += ",".join(str(j) for j in s.defining_indices)
         line = (
             f"  {i}. beta={_vec_text(s.beta)} dominant={_vec_text(s.beta_dominant)} "
             f"q={rat_str(s.q_norm)} J={{{subset}}} "

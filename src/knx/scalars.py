@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter
-from .linalg import determinant, independent_subset, solve_exact
+from .linalg import independent_subset, solve_exact
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -101,10 +101,16 @@ class GramForm:
             for j in range(n):
                 if mat[i][j] != mat[j][i]:
                     raise InvalidParameter("form matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = [list(mat[i][:k]) for i in range(k)]
-            if determinant(minor) <= 0:
+        # elimination without row swaps: the k-th pivot is the ratio of the
+        # k-th and (k-1)-th leading minors, so all pivots are > 0 exactly
+        # when the form is positive definite (Sylvester's criterion)
+        work = [list(r) for r in mat]
+        for k in range(n):
+            if work[k][k] <= 0:
                 raise InvalidParameter("form matrix must be positive definite")
+            for i in range(k + 1, n):
+                f = work[i][k] / work[k][k]
+                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
         return cls(mat)
 
     def apply(self, u: Vector, v: Vector) -> Fraction:

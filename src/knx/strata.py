@@ -88,7 +88,6 @@ class KNStratum:
     beta_dominant: Vector
     q_norm: Fraction
     defining_indices: tuple[int, ...]
-    defining_includes_origin: bool
     v_plus: tuple[int, ...]
     v_zero: tuple[int, ...]
     v_minus: tuple[int, ...]
@@ -132,25 +131,27 @@ def span_candidates(
     nonzero = [w for w in distinct if not is_zero_vector(w)]
     table = gram_table(nonzero, chi.vec, group.form)
 
+    # breadth-first, one rank per level, each level in RREF-key order;
+    # testing the weights against a basis both extends it and lists the
+    # members of its flat
     spans = {span_key([]): []}
-    frontier = [[]]
-    while frontier:
+    level = [span_key([])]
+    while level:
         nxt = []
-        for basis in frontier:
-            for w in nonzero:
+        for key in level:
+            basis = spans[key]
+            members = []
+            for i, w in enumerate(nonzero):
                 if span_contains(basis, w):
+                    members.append(i)
                     continue
                 bigger = span_extend([list(r) for r in basis], w)
-                key = span_key(bigger)
-                if key not in spans:
-                    spans[key] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-
-    ordered = sorted(spans.values(), key=lambda b: (len(b), span_key(b)))
-    for basis in ordered:
-        members = [i for i, w in enumerate(nonzero) if span_contains(basis, w)]
-        yield table, min_norm_point(table, members)
+                bigger_key = span_key(bigger)
+                if bigger_key not in spans:
+                    spans[bigger_key] = bigger
+                    nxt.append(bigger_key)
+            yield table, min_norm_point(table, members)
+        level = sorted(nxt)
 
 
 def enumerate_kn(
@@ -166,7 +167,7 @@ def enumerate_kn(
     weights = ws.stratify_weights
     q = group.form
     semistable = False
-    found: dict[Vector, dict] = {}
+    found: dict[Vector, KNStratum] = {}
     for table, proj in span_candidates(ws, chi, group, cap):
         v = proj.direction
         if is_zero_vector(v):
@@ -176,39 +177,28 @@ def enumerate_kn(
         key = weyl_canonicalize(beta_neg, group)
         if key in found:
             continue
-        found[key] = {
-            "direction": v,
-            "beta_neg": beta_neg,
-            "beta_pos": primitive_rescale(v),
-            "q_norm": q.norm2(v),
-            "support_weights": cone_support(proj, table),
-        }
-
-    strata = []
-    for data in found.values():
-        beta = data["beta_neg"] if orientation in ("negative", "both") else data["beta_pos"]
-        dominant = weyl_canonicalize(beta, group)
+        beta_pos = primitive_rescale(v)
+        if orientation == "positive":
+            beta, dominant = beta_pos, weyl_canonicalize(beta_pos, group)
+        else:
+            beta, dominant = beta_neg, key
         plus, zero_idx, minus = [], [], []
         for i, w in enumerate(weights):
             s = q.apply(w, beta)
             (plus if s > 0 else zero_idx if s == 0 else minus).append(i)
-        defining = _support_indices(data["support_weights"], weights)
-        strata.append(
-            KNStratum(
-                direction=data["direction"],
-                beta_neg=data["beta_neg"],
-                beta_pos=data["beta_pos"],
-                beta=beta,
-                beta_dominant=dominant,
-                q_norm=data["q_norm"],
-                defining_indices=defining,
-                defining_includes_origin=True,
-                v_plus=tuple(plus),
-                v_zero=tuple(zero_idx),
-                v_minus=tuple(minus),
-            )
+        found[key] = KNStratum(
+            direction=v,
+            beta_neg=beta_neg,
+            beta_pos=beta_pos,
+            beta=beta,
+            beta_dominant=dominant,
+            q_norm=q.norm2(v),
+            defining_indices=_support_indices(cone_support(proj, table), weights),
+            v_plus=tuple(plus),
+            v_zero=tuple(zero_idx),
+            v_minus=tuple(minus),
         )
-    strata.sort(key=lambda s: (s.q_norm, s.beta_dominant))
+    strata = sorted(found.values(), key=lambda s: (s.q_norm, s.beta_dominant))
     return KNResult(tuple(strata), semistable, orientation)
 
 

@@ -1,6 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import knx.strata
+from knx.cli import main
 
 from knx.errors import InvalidParameter
 from knx.groups import TorusCharacter, torus
@@ -12,8 +18,9 @@ from knx.oracle import (
     random_problem,
 )
 from knx.engine import cherednik_preset
-from knx.scalars import GramForm, vector
-from knx.strata import weight_system
+from knx.groups import weyl_canonicalize
+from knx.scalars import GramForm, vec_scale, vector
+from knx.strata import enumerate_kn, weight_system
 
 Q1 = GramForm.identity(1)
 Q2 = GramForm.identity(2)
@@ -129,3 +136,31 @@ def test_cross_check_random_torus_problems():
         p = random_problem(1 + s % 3, 1 + (s * 5) % 6, 2000 + s)
         report = cross_check_problem(p)
         assert report.agreed, (s, report.mismatches)
+
+
+def test_oracle_detects_a_wrong_projection(monkeypatch, capsys, golden_dir):
+    solve = knx.strata.min_norm_point
+
+    def doubled(table, members):
+        proj = solve(table, members)
+        return replace(proj, direction=vec_scale(F(2), proj.direction))
+
+    monkeypatch.setattr(knx.strata, "min_norm_point", doubled)
+    report = cross_check_problem(cherednik_preset(2))
+    assert not report.agreed and report.mismatches
+    code = main(["oracle", str(golden_dir / "proj_n1.json"), "--samples", "0"])
+    assert code == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.builds(random_problem, st.integers(1, 3), st.integers(1, 6), st.integers(0, 10**6)))
+@example(cherednik_preset(2))
+def test_oracle_directions_are_the_enumerated_strata(problem):
+    # the oracle's directions come from the same flats as the strata, so
+    # up to the Weyl group they are exactly the enumerated strata
+    report = cross_check_problem(problem)
+    assert report.agreed, report.mismatches
+    kn = enumerate_kn(problem.weights, problem.chi, problem.group, "negative", problem.cap)
+    oracle_side = {weyl_canonicalize(d, problem.group) for d in report.directions}
+    assert oracle_side == {s.beta_dominant for s in kn.strata}

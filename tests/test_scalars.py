@@ -71,3 +71,10 @@ def test_gram_form_validation():
         GramForm.from_rows([["1", "2"], ["1", "1"]])  # not symmetric
     with pytest.raises(InvalidParameter):
         GramForm.from_rows([["1", "2"], ["2", "1"]])  # indefinite
+    with pytest.raises(InvalidParameter):
+        GramForm.from_rows([["1", "1"], ["1", "1"]])  # semidefinite: second pivot 0
+    # leading minors 1, 1, -3: only the last pivot is negative
+    with pytest.raises(InvalidParameter):
+        GramForm.from_rows([["1", "0", "2"], ["0", "1", "0"], ["2", "0", "1"]])
+    # the A3 Cartan matrix, leading minors 2, 3, 4
+    GramForm.from_rows([["2", "-1", "0"], ["-1", "2", "-1"], ["0", "-1", "2"]])
