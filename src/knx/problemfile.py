@@ -82,6 +82,8 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem
         raise
     except KnxError as exc:
         raise SchemaError(str(exc)) from exc
+    except RecursionError as exc:  # products nested deeper than the stack
+        raise SchemaError("group nesting is too deep") from exc
 
 
 def _require_list(value, what: str) -> list:
@@ -244,6 +246,6 @@ def load_problem(path: str, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise SchemaError(f"cannot read problem file: {exc}") from exc
     return parse_problem(data, cap)

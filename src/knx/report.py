@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import json
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii
 
 from .engine import ExactnessProblem, ExactnessVerdict, stratum_semigroup
 from .errors import SliceSubtractionFailure, UnsupportedMode
@@ -20,11 +21,51 @@ def _vec_text(v: Vector) -> str:
     return "(" + ", ".join(rat_str(x) for x in v) + ")"
 
 
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    report values: dicts with str keys, lists, JSON scalars, and tuples,
+    which must hold ints only (the gap lists).
+
+    With ``indent`` set, the json module encodes in pure Python, several
+    generator steps per list entry.  A gap list is instead rendered by one
+    repr and one replace, and its repr is made once per report: the union
+    of a forbidden report repeats the gap tuples of the loci it keeps.
+    """
+    flat: dict[int, tuple[tuple, str]] = {}  # id -> (the tuple, kept alive; its repr)
+
+    def render(value, outer: str) -> str:
+        # scalars in the json module's own order; a float goes to its encoder
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if not isinstance(value, (dict, list, tuple)):
+            return JSONEncoder().encode(value)
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = outer + "  "
+        if isinstance(value, dict):
+            items = sorted(value.items())
+            parts = [f"{encode_basestring_ascii(k)}: {render(v, inner)}" for k, v in items]
+            return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{outer}}}"
+        if isinstance(value, list):
+            body = f",\n{inner}".join([render(v, inner) for v in value])
+        else:
+            if id(value) not in flat:
+                flat[id(value)] = (value, repr(list(value))[1:-1])
+            body = flat[id(value)][1].replace(", ", ",\n" + inner)
+        return f"[\n{inner}{body}\n{outer}]"
+
+    return render(obj, "")
+
+
 def set_description_json(d: SetDescription) -> dict:
     return {
         "offset": rat_str(d.offset),
         "modulus": rat_str(d.modulus),
-        "gaps": list(d.gaps),
+        "gaps": d.gaps,
         "conductor": d.conductor,
         "empty": d.empty,
         "full": d.full,
@@ -78,16 +119,14 @@ def strata_report(problem: ExactnessProblem, result: KNResult, as_json: bool) ->
         enriched.append(entry)
         descriptions.append(desc)
     if as_json:
-        return json.dumps(
+        return _dumps(
             {
                 "knx_version": 1,
                 "command": "strata",
                 "provenance": _provenance(problem),
                 "semistable_nonempty": result.semistable_nonempty,
                 "strata": enriched,
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     lines = [
         f"KN strata ({result.orientation} orientation, {problem.weights.mode} mode, "
@@ -130,7 +169,7 @@ def _provenance_text(problem: ExactnessProblem) -> str:
 
 def check_report(problem: ExactnessProblem, verdict: ExactnessVerdict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(
+        return _dumps(
             {
                 "knx_version": 1,
                 "command": "check",
@@ -153,9 +192,7 @@ def check_report(problem: ExactnessProblem, verdict: ExactnessVerdict, as_json: 
                     }
                     for c in verdict.checks
                 ],
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     lines = [f"exactness verdict: {verdict.status}"]
     for c in verdict.checks:
@@ -177,7 +214,7 @@ def check_report(problem: ExactnessProblem, verdict: ExactnessVerdict, as_json: 
 
 def forbidden_report(problem: ExactnessProblem, verdict: ExactnessVerdict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(
+        return _dumps(
             {
                 "knx_version": 1,
                 "command": "forbidden",
@@ -194,9 +231,7 @@ def forbidden_report(problem: ExactnessProblem, verdict: ExactnessVerdict, as_js
                     for l in verdict.loci
                 ],
                 "union": [set_description_json(d) for d in verdict.union_loci],
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     lines = ["parametric forbidden locus (one entry per stratum):"]
     for l in verdict.loci:
@@ -209,7 +244,7 @@ def forbidden_report(problem: ExactnessProblem, verdict: ExactnessVerdict, as_js
 
 def oracle_report_text(report: OracleReport, as_json: bool) -> str:
     if as_json:
-        return json.dumps(
+        return _dumps(
             {
                 "knx_version": 1,
                 "command": "oracle",
@@ -217,9 +252,7 @@ def oracle_report_text(report: OracleReport, as_json: bool) -> str:
                 "subsets_checked": report.subsets_checked,
                 "mismatches": list(report.mismatches),
                 "directions": [_vec(d) for d in report.directions],
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     lines = [
         f"oracle cross-check: {'all subsets agree' if report.agreed else 'MISMATCH'}",

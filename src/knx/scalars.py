@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter
@@ -30,7 +31,10 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise InvalidParameter(f"not a rational string: {value!r}")
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ValueError as exc:  # more digits than int() converts
+            raise InvalidParameter("too many digits in a rational string") from exc
     raise InvalidParameter(f"floats and other types are not allowed: {value!r}")
 
 
@@ -113,13 +117,19 @@ class GramForm:
                 work[i] = [a - f * b for a, b in zip(work[i], work[k])]
         return cls(mat)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The nonzero (j, q_ij) of each row: forms are mostly sparse (the
+        presets are identities), so a pairing visits only these."""
+        return tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in self.rows)
+
     def apply(self, u: Vector, v: Vector) -> Fraction:
         if len(u) != self.rank or len(v) != self.rank:
             raise InvalidParameter("vector length does not match form rank")
         total = Fraction(0)
-        for ui, row in zip(u, self.rows):
-            if ui:  # zero terms are skipped: forms and weights are mostly sparse
-                total += ui * sum(r * x for r, x in zip(row, v) if r and x)
+        for ui, row in zip(u, self._sparse_rows):
+            if ui:  # zero terms are skipped: weights are mostly sparse too
+                total += ui * sum(r * v[j] for j, r in row if v[j])
         return total
 
     def norm2(self, v: Vector) -> Fraction:

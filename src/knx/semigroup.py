@@ -200,10 +200,16 @@ class SetDescription:
         base = rat_str(self.offset)
         text = f"{base} {sign} {ray}"
         if self.gaps:
-            skipped = ", ".join(
-                rat_str(self.offset + self.modulus * k) for k in self.gaps
-            )
-            text += " minus {%s}" % skipped
+            # offset + modulus*k = (a + b*k)/den, reduced by one gcd per point
+            den = lcm(self.offset.denominator, self.modulus.denominator)
+            a = self.offset.numerator * (den // self.offset.denominator)
+            b = self.modulus.numerator * (den // self.modulus.denominator)
+            points = []
+            for k in self.gaps:
+                num = a + b * k
+                g = gcd(num, den)
+                points.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+            text += " minus {%s}" % ", ".join(points)
         return text
 
     def subset_of(self, other: "SetDescription") -> bool:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knx.errors import InvalidParameter
 from knx.scalars import GramForm, project_out_span, rat, rat_str, vector
@@ -78,3 +80,26 @@ def test_gram_form_validation():
         GramForm.from_rows([["1", "0", "2"], ["0", "1", "0"], ["2", "0", "1"]])
     # the A3 Cartan matrix, leading minors 2, 3, 4
     GramForm.from_rows([["2", "-1", "0"], ["-1", "2", "-1"], ["0", "-1", "2"]])
+
+
+_entries = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(1, 3), F(-5, 2)])
+
+
+@st.composite
+def _forms_and_vectors(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(_entries)
+    vectors = st.lists(_entries, min_size=n, max_size=n).map(tuple)
+    return GramForm(tuple(map(tuple, rows))), draw(vectors), draw(vectors)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_forms_and_vectors())
+def test_apply_equals_the_dense_double_sum(case):
+    q, u, v = case
+    n = q.rank
+    dense = sum(u[i] * q.rows[i][j] * v[j] for i in range(n) for j in range(n))
+    assert q.apply(u, v) == dense and q.apply(v, u) == dense

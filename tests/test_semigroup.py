@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knx.errors import InvalidParameter
+from knx.scalars import rat_str
 from knx.semigroup import (
     SetDescription,
     describe_members,
@@ -290,3 +291,22 @@ def test_witness_far_past_the_conductor_is_fast():
         witness = witness_decomposition(s, shift, value)
         assert time.perf_counter() - start < 1.0
         assert shift + sum(g * n for g, n in witness) == value
+
+
+def fraction_rendered_gaps(d: SetDescription) -> str:
+    """The gap points as render wrote them with Fraction arithmetic per gap."""
+    return ", ".join(rat_str(d.offset + d.modulus * k) for k in d.gaps)
+
+
+_rationals = st.fractions(max_denominator=12) | st.fractions(-(10**20), 10**20)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rationals, _rationals.filter(bool), st.sets(st.integers(0, 10**6), min_size=1, max_size=20))
+@example(F(-7, 4), F(-1, 6), {0, 1, 5})  # negative modulus, mixed denominators
+@example(F(1, 2), F(-1, 2), {1})  # a gap point at 0
+def test_render_matches_fraction_arithmetic(offset, modulus, gaps):
+    gaps = tuple(sorted(gaps))
+    d = SetDescription(offset=offset, modulus=modulus, gaps=gaps, conductor=gaps[-1] + 1)
+    ray = SetDescription(offset=offset, modulus=modulus).render()
+    assert d.render() == ray + " minus {%s}" % fraction_rendered_gaps(d)
