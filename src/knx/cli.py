@@ -123,7 +123,11 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (CapExceeded, InternalInconsistency) as exc:
+    except CapExceeded as exc:
+        # every cap on a CLI path is the one --max-weights sets
+        print(f"error: {exc} (raise it with --max-weights)", file=sys.stderr)
+        return EXIT_CAP
+    except InternalInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (InvalidParameter, KnxError) as exc:

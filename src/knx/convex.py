@@ -7,12 +7,14 @@ its closest point to the origin is exactly eps*v with
 
     v = chi - p,    p = the q-closest point of cone{w_i} to chi.
 
-p is found by an exact Lawson-Hanson active-set nonnegative least-squares
-solve over Fraction (Lawson and Hanson, *Solving Least Squares Problems*,
-1974, ch. 23), on the Gram matrix q(w_i, w_j) and the pairings q(w_i, chi),
-computed once per weight set.  The Moreau/KKT conditions certify the
-result completely: the coefficients of p are >= 0, q(w, v) <= 0 for every
-weight w of the set, and q(p, v) = 0.
+p comes from an exact Lawson-Hanson active-set nonnegative least-squares
+solve (Lawson and Hanson, *Solving Least Squares Problems*, 1974, ch. 23)
+run in integers: the weights, chi and the form are each cleared of
+denominators once, which scales the cone's generators, chi, p and q by
+positive constants only.  The Moreau/KKT conditions certify the result
+completely and are re-checked in integers: the coefficients of p are >= 0,
+q(w, v) <= 0 for every weight w of the set, and q(p, v) = 0.  Only then
+are v, p, the coefficients and the pairings turned into Fractions.
 """
 
 from __future__ import annotations
@@ -20,37 +22,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInconsistency
-from .linalg import matrix_rank, solve_exact
-from .scalars import GramForm, Vector, is_zero_vector, vec_add, vec_scale, vec_sub, vec_zero
+from .linalg import IntVector, clear_denominators, dot, matrix_rank, solve_exact
+from .scalars import GramForm, Vector, is_zero_vector
 
 DEFAULT_VERTEX_CAP = 24
 
 
 @dataclass(frozen=True)
 class GramTable:
-    """Weights w_i and a character chi with their q-pairings.
+    """Weights w_i and a character chi with their q-pairings in integers.
 
-    gram[i][j] = q(w_i, w_j) and rhs[i] = q(w_i, chi).
+    ``weights`` are the Fraction vectors as given.  The cleared problem is
+    W_i = weight_scale*w_i (``int_weights``), X = chi_scale*chi
+    (``int_chi``) and Q = form_scale*q; ``covectors[i]`` is Q W_i, so that
+    gram[i][j] = Q(W_i, W_j) and rhs[i] = Q(W_i, X).
     """
 
-    form: GramForm
     weights: tuple[Vector, ...]
-    chi: Vector
-    gram: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    int_weights: tuple[IntVector, ...]
+    int_chi: IntVector
+    covectors: tuple[IntVector, ...]
+    weight_scale: int
+    chi_scale: int
+    form_scale: int
+    gram: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
 
 
 def gram_table(weights: Sequence[Vector], chi: Vector, q: GramForm) -> GramTable:
-    n = len(weights)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = q.apply(weights[i], weights[j])
-    rhs = tuple(q.apply(w, chi) for w in weights)
-    return GramTable(q, tuple(weights), chi, tuple(map(tuple, gram)), rhs)
+    weight_scale, int_weights = clear_denominators(weights)
+    chi_scale, (int_chi,) = clear_denominators([chi])
+    form_scale, int_form = clear_denominators(q.rows)
+    covectors = tuple(tuple(dot(row, w) for row in int_form) for w in int_weights)
+    gram = tuple(tuple(dot(c, w) for w in int_weights) for c in covectors)
+    rhs = tuple(dot(c, int_chi) for c in covectors)
+    return GramTable(tuple(weights), int_weights, int_chi, covectors,
+                     weight_scale, chi_scale, form_scale, gram, rhs)
 
 
 @dataclass(frozen=True)
@@ -70,18 +81,22 @@ class ConeProjection:
 
 
 def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
-    """Certified cone projection of table.chi onto the given table weights.
+    """Certified cone projection of chi onto the given table weights.
 
+    The solve runs on the integer table, for X = chi_scale*chi on the W_i.
     A weight enters the passive set only when it pairs positively with the
-    current residual v, which is q-orthogonal to the span of the passive
+    current residual, which is Q-orthogonal to the span of the passive
     set; so the passive weights stay linearly independent and every
     passive solve is nonsingular.
     """
     members = tuple(members)
     gram = [[table.gram[i][j] for j in members] for i in members]
     rhs = [table.rhs[i] for i in members]
-    coeffs = [Fraction(0)] * len(members)
+    coeffs: list[Fraction | int] = [0] * len(members)
     passive: list[int] = []
+    # the coefficients are ks/den over one common denominator, and dual is
+    # den times the pairings of the weights with the residual X - P
+    ks, den = list(coeffs), 1
     dual = list(rhs)
     while True:
         entering = [k for k in range(len(members)) if k not in passive and dual[k] > 0]
@@ -102,26 +117,39 @@ def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
             for k, x in zip(passive, z):
                 coeffs[k] += step * (x - coeffs[k])
             passive = [k for k in passive if coeffs[k] > 0]
-        dual = [rhs[i] - sum(gram[i][k] * coeffs[k] for k in passive)
-                for i in range(len(members))]
-    return _certify(table, members, tuple(coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        ks = [c.numerator * (den // c.denominator) for c in coeffs]
+        dual = [den * r - dot(row, ks) for r, row in zip(rhs, gram)]
+    return _certify(table, members, ks, den)
 
 
-def _certify(table: GramTable, members: tuple[int, ...], coeffs: tuple[Fraction, ...]) -> ConeProjection:
-    # the Moreau/KKT conditions, re-evaluated from the vectors and the form
-    q = table.form
-    if any(c < 0 for c in coeffs):
+def _certify(table: GramTable, members: tuple[int, ...], ks: list[int], den: int) -> ConeProjection:
+    # the Moreau/KKT conditions, re-evaluated from the integer vectors and
+    # form: the coefficients of X on the W_i are ks/den, so den*X = P + V
+    # with P = sum k_i W_i
+    if any(k < 0 for k in ks):
         raise InternalInconsistency("cone projection has a negative coefficient")
-    p = vec_zero(len(table.chi))
-    for i, c in zip(members, coeffs):
-        p = vec_add(p, vec_scale(c, table.weights[i]))
-    v = vec_sub(table.chi, p)
-    pairings = tuple(q.apply(table.weights[i], v) for i in members)
+    p = [0] * len(table.int_chi)
+    for i, k in zip(members, ks):
+        if k:
+            p = [a + k * w for a, w in zip(p, table.int_weights[i])]
+    v = [den * x - a for x, a in zip(table.int_chi, p)]
+    pairings = [dot(table.covectors[i], v) for i in members]
     if any(s > 0 for s in pairings):
         raise InternalInconsistency("cone projection residual pairs positively with a weight")
-    if q.apply(p, v) != 0:
+    # Q(P, V) expanded over P = sum k_i W_i
+    if dot(ks, pairings) != 0:
         raise InternalInconsistency("cone projection residual is not orthogonal to the projection")
-    return ConeProjection(v, p, members, coeffs, pairings)
+    # back to chi = X/chi_scale: v = V/scale, p = P/scale, w_i = W_i/weight_scale
+    scale = den * table.chi_scale
+    pair_scale = scale * table.weight_scale * table.form_scale
+    return ConeProjection(
+        direction=tuple(Fraction(x, scale) for x in v),
+        projection=tuple(Fraction(x, scale) for x in p),
+        members=members,
+        coefficients=tuple(Fraction(k * table.weight_scale, scale) for k in ks),
+        pairings=tuple(Fraction(s, pair_scale) for s in pairings),
+    )
 
 
 def cone_support(proj: ConeProjection, table: GramTable) -> tuple[Vector, ...]:

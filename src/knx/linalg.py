@@ -1,17 +1,32 @@
-"""Small exact linear algebra helpers over Fraction.
+"""Small exact linear algebra helpers: Fraction elimination and integer spans.
 
-Everything here works on plain lists/tuples of Fraction; matrices are
-lists of rows.  Sizes in this package stay in the single digits, so
-straightforward Gaussian elimination is both fast enough and easy to audit.
+Matrices are lists of rows.  ``row_reduce``, ``matrix_rank`` and
+``solve_exact`` run Gauss-Jordan elimination over Fraction (int entries
+are accepted and come back as Fractions); the passive solves of the cone
+projection, the defining supports and the oracle use them.
+
+The span walk of the strata path works on integer rows only.  A span is
+held as its canonical basis: each row is the primitive integer multiple,
+with positive pivot, of the matching row of the reduced row echelon form,
+so the rows are zero in every other row's pivot column and the basis is
+its own hashable key.  Vectors are reduced against it fraction-free
+(Bareiss 1968): a row step multiplies by the pivot instead of dividing by
+it, and one gcd at the end keeps the entries small.  Sizes in this package
+stay in the single digits, so straightforward elimination is both fast
+enough and easy to audit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+IntVector = tuple[int, ...]
+IntBasis = tuple[IntVector, ...]
 
 
 def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -49,54 +64,82 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices of a greedy maximal linearly independent subset (first wins)."""
     chosen: list[int] = []
-    basis: list[list[Fraction]] = []
-    for i, v in enumerate(vectors):
+    basis: IntBasis = ()
+    for i, v in enumerate(clear_denominators(vectors)[1]):
         if not span_contains(basis, v):
             basis = span_extend(basis, v)
             chosen.append(i)
     return chosen
 
 
-def span_extend(basis: list[list[Fraction]], v: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Return an RREF basis of span(basis ∪ {v}); basis must already be RREF."""
-    vec = list(v)
-    for row in basis:
-        p = _pivot(row)
-        if p is not None and vec[p] != 0:
-            f = vec[p]
-            vec = [a - f * b for a, b in zip(vec, row)]
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[IntVector, ...]]:
+    """(d, d * rows) for the least d > 0 that makes every entry an integer."""
+    d = lcm(1, *(x.denominator for row in rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def span_extend(basis: IntBasis, v: Sequence[int]) -> IntBasis:
+    """Canonical basis of span(basis + {v}); ``basis`` itself when v lies in
+    its span, so one call both tests and extends."""
+    vec = _reduce(basis, v)
     p = _pivot(vec)
     if p is None:
         return basis
-    inv = ONE / vec[p]
-    vec = [x * inv for x in vec]
-    new = basis + [vec]
-    # re-reduce above the new pivot and keep rows ordered by pivot column
-    for row in new[:-1]:
-        if row[p] != 0:
-            f = row[p]
-            row[:] = [a - f * b for a, b in zip(row, vec)]
-    new.sort(key=lambda r: _pivot(r))
-    return new
+    vec = _primitive(vec, p)
+    d = vec[p]
+    # clear the new pivot column from the rows above; each keeps its own
+    # pivot entry positive, and vec is zero in their pivot columns
+    rows = [_primitive([d * a - row[p] * b for a, b in zip(row, vec)], _pivot(row))
+            if row[p] else row for row in basis]
+    rows.append(vec)
+    rows.sort(key=_pivot)
+    return tuple(rows)
 
 
-def span_contains(basis: list[list[Fraction]], v: Sequence[Fraction]) -> bool:
+def span_contains(basis: IntBasis, v: Sequence[int]) -> bool:
+    return not any(_reduce(basis, v))
+
+
+def span_key(basis: IntBasis) -> IntBasis:
+    """Hashable canonical fingerprint of a span: its canonical basis."""
+    return tuple(basis)
+
+
+def rref_key(basis: IntBasis) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced row echelon form of the span over Fraction, for ordering."""
+    return tuple(tuple(Fraction(a, row[_pivot(row)]) for a in row) for row in basis)
+
+
+def _reduce(basis: IntBasis, v: Sequence[int]) -> list[int]:
+    # a positive multiple of v minus its component in the span: zero in
+    # every pivot column, and zero exactly when v lies in the span
     vec = list(v)
     for row in basis:
         p = _pivot(row)
-        if p is not None and vec[p] != 0:
-            f = vec[p]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return all(x == 0 for x in vec)
+        f = vec[p]
+        if f:
+            d = row[p]
+            vec = [d * a - f * b for a, b in zip(vec, row)]
+    return vec
 
 
-def span_key(basis: list[list[Fraction]]) -> tuple:
-    """Hashable canonical fingerprint of a span (its RREF basis)."""
-    return tuple(tuple(row) for row in basis)
+def _primitive(vec: Sequence[int], p: int) -> IntVector:
+    # divide by the content, signed so that the entry at p is positive
+    g = gcd(*vec)
+    if vec[p] < 0:
+        g = -g
+    return tuple(a // g for a in vec)
 
 
-def _pivot(row: Sequence[Fraction]) -> int | None:
-    return next((j for j, x in enumerate(row) if x != 0), None)
+def _pivot(row: Sequence) -> int | None:
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return None
 
 
 def solve_exact(

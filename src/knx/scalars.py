@@ -1,6 +1,10 @@
 """Exact scalars and vectors: rationals, rational vectors, the pairing q.
 
-Every number on the certification path is a Fraction.  The infinitesimal
+Problem data, directions, pairings and every reported number are
+Fractions.  The strata kernel is the exception: the span walk
+(``linalg``) and the cone projection (``convex``) clear the weights, chi
+and the form to integers once per weight set, work in Python ints, and
+hand Fractions back in each ``ConeProjection``.  The infinitesimal
 perturbation of the weight hulls never needs its own arithmetic: the
 closest point of a perturbed hull is exactly eps*v for a rational vector v
 (see ``convex``).
@@ -131,6 +135,12 @@ class GramForm:
             if ui:  # zero terms are skipped: weights are mostly sparse too
                 total += ui * sum(r * v[j] for j, r in row if v[j])
         return total
+
+    def covector(self, v: Vector) -> tuple[Fraction, ...]:
+        """q*v, so that q(u, v) is the dot product of u with it."""
+        if len(v) != self.rank:
+            raise InvalidParameter("vector length does not match form rank")
+        return tuple(sum(r * v[j] for j, r in row) for row in self._sparse_rows)
 
     def norm2(self, v: Vector) -> Fraction:
         return self.apply(v, v)

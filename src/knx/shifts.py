@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency, SliceSubtractionFailure, UnsupportedMode
-from .groups import GroupData, negative_root_weight_sum
+from .groups import GroupData, negative_root_weight_sum, root_pairings
 from .scalars import Vector
 from .strata import WeightSystem
 
@@ -43,8 +43,7 @@ def compute_shift(beta: Vector, ws: WeightSystem, group: GroupData) -> ShiftData
 
     phase = Counter(base_pairings)
     phase.update(-p for p in base_pairings)
-    for root in group.roots:
-        g = q.apply(root, beta)
+    for g in root_pairings(beta, group):
         if g < 0:
             for w in (g, -g):
                 if phase[w] <= 0:

@@ -28,7 +28,7 @@ from .convex import (
 )
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter, NonabelianUnsupported
 from .groups import GroupData, TorusCharacter, primitive_rescale, weyl_canonicalize
-from .linalg import span_contains, span_extend, span_key
+from .linalg import dot, rref_key, span_extend
 from .scalars import Vector, is_zero_vector, vec_neg, vector
 
 ORIENTATIONS = ("negative", "positive", "both")
@@ -131,27 +131,27 @@ def span_candidates(
     nonzero = [w for w in distinct if not is_zero_vector(w)]
     table = gram_table(nonzero, chi.vec, group.form)
 
-    # breadth-first, one rank per level, each level in RREF-key order;
-    # testing the weights against a basis both extends it and lists the
-    # members of its flat
-    spans = {span_key([]): []}
-    level = [span_key([])]
+    # breadth-first over the canonical integer bases of the spans (each its
+    # own key), one rank per level, each level in the order of the spans'
+    # Fraction RREF keys; extending a basis by each weight both lists the
+    # members of its flat (the basis comes back unchanged) and finds the
+    # flats one rank up
+    seen = {()}
+    level = [()]
     while level:
-        nxt = []
-        for key in level:
-            basis = spans[key]
+        found = []
+        for basis in level:
             members = []
-            for i, w in enumerate(nonzero):
-                if span_contains(basis, w):
+            for i, w in enumerate(table.int_weights):
+                bigger = span_extend(basis, w)
+                if bigger is basis:
                     members.append(i)
                     continue
-                bigger = span_extend([list(r) for r in basis], w)
-                bigger_key = span_key(bigger)
-                if bigger_key not in spans:
-                    spans[bigger_key] = bigger
-                    nxt.append(bigger_key)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    found.append(bigger)
             yield table, min_norm_point(table, members)
-        level = sorted(nxt)
+        level = sorted(found, key=rref_key)
 
 
 def enumerate_kn(
@@ -182,9 +182,13 @@ def enumerate_kn(
             beta, dominant = beta_pos, weyl_canonicalize(beta_pos, group)
         else:
             beta, dominant = beta_neg, key
+        # Q(W, beta) over the integer table has the sign of q(w, beta); a
+        # zero weight is not in the table and pairs to 0
+        ints = [x.numerator for x in beta]
+        sign = {w: dot(c, ints) for w, c in zip(table.weights, table.covectors)}
         plus, zero_idx, minus = [], [], []
         for i, w in enumerate(weights):
-            s = q.apply(w, beta)
+            s = sign.get(w, 0)
             (plus if s > 0 else zero_idx if s == 0 else minus).append(i)
         found[key] = KNStratum(
             direction=v,

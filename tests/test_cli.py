@@ -3,6 +3,7 @@ import time
 
 from knx.cli import main
 from knx.problemfile import load_problem, parse_problem, render_problem
+from knx.scalars import GramForm
 
 from conftest import GOLDEN_DIR, GOLDEN_FILES
 
@@ -133,6 +134,7 @@ def test_cap_exceeded_exit(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "strata", big)
     assert code == 3
+    assert err == "error: 30 distinct weights exceed the cap of 24 (raise it with --max-weights)\n"
     # raising the cap makes it work
     code, _, _ = run(capsys, "strata", big, "--max-weights", "80")
     assert code == 0
@@ -299,6 +301,23 @@ def test_invariance_checks_are_fast_on_gl60(tmp_path, capsys):
     # about 0.8 s on a 2-vCPU x86-64 host, and 8 s when each pairing walks
     # every entry of the form
     assert timed_gl_check(tmp_path, capsys, 60) < 3.0
+
+
+def test_roots_are_paired_without_a_form_pairing_each_on_gl60(tmp_path, capsys, monkeypatch):
+    # chi, c and beta are each multiplied by the form once and then paired
+    # with the two nonzero entries of every root; one GramForm.apply per
+    # root pairing would be 4 x 3540 calls (14,233 in all on gl(60))
+    calls = 0
+    apply = GramForm.apply
+
+    def counted(form, u, v):
+        nonlocal calls
+        calls += 1
+        return apply(form, u, v)
+
+    monkeypatch.setattr(GramForm, "apply", counted)
+    timed_gl_check(tmp_path, capsys, 60)
+    assert calls < 60 * 59
 
 
 def test_root_pairings_visit_only_nonzero_form_entries_on_gl100(tmp_path, capsys):

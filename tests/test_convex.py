@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knx.strata
 from knx.convex import gram_table, min_norm_point
 from knx.errors import CapExceeded
 from knx.groups import TorusCharacter, torus
@@ -129,6 +130,7 @@ def test_vertex_cap(monkeypatch):
         raise AssertionError("pairing computed before the cap check")
 
     monkeypatch.setattr(GramForm, "apply", no_pairing)
+    monkeypatch.setattr(knx.strata, "gram_table", no_pairing)
     ws = weight_system([[str(i), "0"] for i in range(5)], "raw")
     chi = TorusCharacter(vector(["0", "1"]))
     with pytest.raises(CapExceeded):

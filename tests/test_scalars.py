@@ -103,3 +103,4 @@ def test_apply_equals_the_dense_double_sum(case):
     n = q.rank
     dense = sum(u[i] * q.rows[i][j] * v[j] for i in range(n) for j in range(n))
     assert q.apply(u, v) == dense and q.apply(v, u) == dense
+    assert sum(a * b for a, b in zip(u, q.covector(v))) == dense

@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knx.errors import CapExceeded, InvalidParameter, NonabelianUnsupported
-from knx.groups import TorusCharacter, gl, torus
+from knx.groups import TorusCharacter, gl, group_data, torus
 from knx.oracle import random_problem
-from knx.scalars import vector
-from knx.strata import classify_point, enumerate_kn, weight_system
+from knx.scalars import vec_scale, vector
+from knx.strata import WeightSystem, classify_point, enumerate_kn, weight_system
 
 UP = TorusCharacter(vector(["0", "1"]))
 DOWN = TorusCharacter(vector(["0", "-1"]))
@@ -80,39 +82,84 @@ def test_orientation_flag():
         enumerate_kn(ws, chi, torus(1), orientation="sideways")
 
 
-def test_rescaled_character_same_strata():
+_rational = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+_positive = st.builds(F, st.integers(1, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _rational_torus_problems(draw):
+    # rational (mostly non-integer) weights and chi, a diagonal rational form
+    rank = draw(st.integers(1, 3))
+    vec = st.tuples(*[_rational] * rank)
+    ws = WeightSystem(tuple(draw(st.lists(vec, min_size=1, max_size=4))),
+                      draw(st.sampled_from(["cotangent", "raw"])))
+    diagonal = draw(st.lists(_positive, min_size=rank, max_size=rank))
+    form = [[d if i == j else 0 for j in range(rank)] for i, d in enumerate(diagonal)]
+    return ws, TorusCharacter(draw(vec.filter(any))), group_data(rank, [], [], form)
+
+
+def _strata_summary(ws, chi, group):
+    r = enumerate_kn(ws, chi, group)
+    return {s.beta_dominant for s in r.strata}, r.semistable_nonempty
+
+
+def _with_random_problem_examples(test):
+    # the fixed cases this test ran before it was a property test: ten
+    # integer problems with chi doubled
     for seed in range(10):
         p = random_problem(2, 4, seed)
-        r1 = enumerate_kn(p.weights, p.chi, p.group)
-        doubled = TorusCharacter(tuple(2 * x for x in p.chi.vec))
-        r2 = enumerate_kn(p.weights, doubled, p.group)
-        assert {s.beta_dominant for s in r1.strata} == {s.beta_dominant for s in r2.strata}
-        assert r1.semistable_nonempty == r2.semistable_nonempty
+        test = example((p.weights, p.chi, p.group), F(2), F(1))(test)
+    return test
 
 
-def test_weight_permutation_invariance():
-    ws = weight_system(
-        [["0", "0"], ["1", "-1"], ["-1", "1"], ["0", "0"], ["1", "0"], ["0", "1"]],
-        "cotangent",
-    )
-    g = gl(2)
-    chi = TorusCharacter(vector(["1", "1"]))
-    base = enumerate_kn(ws, chi, g)
-    # permute the listed order of the weights
-    shuffled = weight_system(
-        [["1", "0"], ["0", "0"], ["0", "1"], ["-1", "1"], ["1", "-1"], ["0", "0"]],
-        "cotangent",
-    )
-    r = enumerate_kn(shuffled, chi, g)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_rational_torus_problems(), _positive, _positive)
+@_with_random_problem_examples
+def test_rescaled_character_same_strata(problem, chi_scale, weight_scale):
+    # the cone, hence every stratum, is unchanged by a positive rescaling
+    # of chi or of all the weights together
+    ws, chi, group = problem
+    expected = _strata_summary(ws, chi, group)
+    scaled_chi = TorusCharacter(vec_scale(chi_scale, chi.vec))
+    scaled_ws = WeightSystem(tuple(vec_scale(weight_scale, w) for w in ws.w_weights), ws.mode)
+    assert _strata_summary(ws, scaled_chi, group) == expected
+    assert _strata_summary(scaled_ws, chi, group) == expected
+
+
+_GL2_WS = weight_system(
+    [["0", "0"], ["1", "-1"], ["-1", "1"], ["0", "0"], ["1", "0"], ["0", "1"]],
+    "cotangent",
+)
+
+
+@st.composite
+def _permuted_problems(draw):
+    ws, chi, group = draw(_rational_torus_problems())
+    return ws, chi, group, draw(st.permutations(range(len(ws.w_weights))))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_permuted_problems())
+@example((_GL2_WS, TorusCharacter(vector(["1", "1"])), gl(2), [4, 0, 5, 2, 1, 3]))
+def test_weight_permutation_invariance(problem):
+    ws, chi, group, order = problem
+    shuffled = WeightSystem(tuple(ws.w_weights[i] for i in order), ws.mode)
+    base, r = enumerate_kn(ws, chi, group), enumerate_kn(shuffled, chi, group)
     assert {s.beta_dominant for s in r.strata} == {s.beta_dominant for s in base.strata}
     assert [s.q_norm for s in r.strata] == [s.q_norm for s in base.strata]
-    # apply the Weyl swap to every weight and to chi: same result again
+    assert r.semistable_nonempty == base.semistable_nonempty
+
+
+def test_weyl_swap_invariance():
+    # the Weyl swap applied to every weight (chi is fixed by it)
+    chi = TorusCharacter(vector(["1", "1"]))
     swapped = weight_system(
         [["0", "0"], ["-1", "1"], ["1", "-1"], ["0", "0"], ["0", "1"], ["1", "0"]],
         "cotangent",
     )
-    r2 = enumerate_kn(swapped, chi, g)
-    assert {s.beta_dominant for s in r2.strata} == {s.beta_dominant for s in base.strata}
+    r = enumerate_kn(swapped, chi, gl(2))
+    base = enumerate_kn(_GL2_WS, chi, gl(2))
+    assert {s.beta_dominant for s in r.strata} == {s.beta_dominant for s in base.strata}
 
 
 def test_cotangent_split_symmetry():
