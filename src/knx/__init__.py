@@ -26,7 +26,7 @@ from .groups import (
     torus,
     weyl_canonicalize,
 )
-from .scalars import GramForm, project_out_span, rat, rat_str, vector
+from .scalars import GramForm, rat, rat_str, vector
 from .semigroup import (
     NumericalSemigroup,
     SetDescription,
@@ -35,8 +35,8 @@ from .semigroup import (
     semigroup_from_generators,
     witness_decomposition,
 )
-from .shifts import ShiftData, compute_shift, slice_generators_for_normal_weights
-from .strata import KNResult, KNStratum, WeightSystem, classify_point, enumerate_kn, weight_system
+from .shifts import ShiftData, compute_shift
+from .strata import KNResult, KNStratum, WeightSystem, enumerate_kn, weight_system
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

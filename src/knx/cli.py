@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 success (check: Certified; oracle: all agree), 1 Violated or
-oracle mismatch, 2 schema error, 3 cap exceeded or internal inconsistency.
-Reports go to stdout, diagnostics to stderr.
+oracle mismatch, 2 schema or usage error, 3 cap exceeded or internal
+inconsistency.  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ def run_random_self_checks(config: OracleConfig) -> bool:
     return True
 
 
+def nonnegative_int(text: str) -> int:
+    k = int(text)
+    if k < 0:  # eps = -1/2^K needs K >= 0
+        raise argparse.ArgumentTypeError(f"K must be >= 0, not {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knx",
@@ -60,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--orientation", choices=ORIENTATIONS, default=None)
         p.add_argument("--max-weights", type=int, default=None, metavar="N")
         if name == "oracle":
-            p.add_argument("--eps-den", type=int, default=20, metavar="K",
+            p.add_argument("--eps-den", type=nonnegative_int, default=20, metavar="K",
                            help="use eps = -1/2^K and -1/2^(K+4)")
             p.add_argument("--samples", type=int, default=20, metavar="M",
                            help="seeded random self-check problems to run")

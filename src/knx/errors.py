@@ -25,10 +25,6 @@ class SliceSubtractionFailure(KnxError):
     """A required nilpotent-part weight is missing from the phase-space weights."""
 
 
-class NonabelianUnsupported(KnxError):
-    """Operation is only defined for torus actions."""
-
-
 class UnsupportedMode(KnxError):
     """Operation is not defined in the requested weight-system mode."""
 

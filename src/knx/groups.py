@@ -190,11 +190,6 @@ class TorusCharacter:
     """Differential of a character of the maximal torus, in weight coordinates."""
 
     vec: Vector
-    genuine: bool = False
-
-    def __post_init__(self):
-        if self.genuine and any(x.denominator != 1 for x in self.vec):
-            raise InvalidParameter("a genuine group character needs integer entries")
 
 
 @dataclass(frozen=True)

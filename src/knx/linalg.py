@@ -1,64 +1,36 @@
-"""Small exact linear algebra helpers: Fraction elimination and integer spans.
+"""Small exact linear algebra on one integer kernel: canonical span bases.
 
-Matrices are lists of rows.  ``row_reduce``, ``matrix_rank`` and
-``solve_exact`` run Gauss-Jordan elimination over Fraction (int entries
-are accepted and come back as Fractions); the passive solves of the cone
-projection, the defining supports and the oracle use them.
+Matrices are lists of rows with Fraction or int entries.  Every
+elimination clears the rows to integers with one common denominator
+(``clear_denominators``) and builds the canonical basis of their span:
+each basis row is the primitive integer multiple, with positive pivot, of
+the matching row of the reduced row echelon form, so the rows are zero in
+every other row's pivot column and the basis is its own hashable key.
+``span_extend`` adds one vector fraction-free (Bareiss 1968): a row step
+multiplies by the pivot instead of dividing by it, and one gcd at the end
+keeps the entries small.
 
-The span walk of the strata path works on integer rows only.  A span is
-held as its canonical basis: each row is the primitive integer multiple,
-with positive pivot, of the matching row of the reduced row echelon form,
-so the rows are zero in every other row's pivot column and the basis is
-its own hashable key.  Vectors are reduced against it fraction-free
-(Bareiss 1968): a row step multiplies by the pivot instead of dividing by
-it, and one gcd at the end keeps the entries small.  Sizes in this package
-stay in the single digits, so straightforward elimination is both fast
-enough and easy to audit.
+The span walk of the strata path extends bases directly.  ``matrix_rank``
+is the size of the basis of the rows, and ``solve_exact`` reads x off the
+basis of the augmented rows [A | b]; the passive solves of the cone
+projection, the defining supports and the oracle use them.  Sizes in this
+package stay in the single digits, so straightforward elimination is both
+fast enough and easy to audit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 IntVector = tuple[int, ...]
 IntBasis = tuple[IntVector, ...]
 
 
-def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place on a copy) plus pivot columns."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return mat, pivots
-
-
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = row_reduce([list(r) for r in rows])
-    return len(pivots)
+    return len(reduce(span_extend, clear_denominators(rows)[1], ()))
 
 
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[int]:
@@ -146,17 +118,14 @@ def solve_exact(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
     """Solve A x = b exactly; None if inconsistent, free variables set to 0."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = row_reduce(aug)
-    sol = [ZERO] * n
-    for r, c in enumerate(pivots):
-        if c == n:
+    n = len(rows[0]) if rows else 0
+    aug = clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])[1]
+    sol = [Fraction(0)] * n
+    # each row of the canonical basis of [A | b] is a row of its RREF times
+    # the row's pivot entry
+    for row in reduce(span_extend, aug, ()):
+        p = _pivot(row)
+        if p == n:
             return None  # pivot in the constant column: inconsistent
-        sol[c] = red[r][n]
-    # rows past the pivots must be all-zero including rhs
-    for r in range(len(pivots), m):
-        if red[r][n] != 0:
-            return None
+        sol[p] = Fraction(row[n], row[p])
     return sol

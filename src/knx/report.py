@@ -86,7 +86,7 @@ def stratum_json(s: KNStratum) -> dict:
         "v_zero": list(s.v_zero),
         "v_minus": list(s.v_minus),
         "y_indices": list(s.y_indices),
-        "z_indices": list(s.z_indices),
+        "z_indices": list(s.v_zero),
     }
 
 

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter
-from .linalg import independent_subset, solve_exact
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -144,26 +143,3 @@ class GramForm:
 
     def norm2(self, v: Vector) -> Fraction:
         return self.apply(v, v)
-
-
-def project_out_span(v: Vector, spanning: Sequence[Vector], q: GramForm) -> Vector:
-    """q-orthogonal component of v relative to span(spanning).
-
-    The spanning set may be empty or linearly dependent; the normal
-    equations are solved exactly over a maximal independent subset.
-    """
-    if not spanning:
-        return v
-    idx = independent_subset(spanning)
-    if not idx:
-        return v
-    basis = [spanning[i] for i in idx]
-    gram = [[q.apply(a, b) for b in basis] for a in basis]
-    rhs = [q.apply(a, v) for a in basis]
-    coeffs = solve_exact(gram, rhs)
-    if coeffs is None:  # positive definite q makes the Gram matrix invertible
-        raise InvalidParameter("singular Gram matrix for an independent set")
-    out = v
-    for c, b in zip(coeffs, basis):
-        out = vec_sub(out, vec_scale(c, b))
-    return out

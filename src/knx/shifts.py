@@ -73,8 +73,3 @@ def full_space_generators(beta: Vector, ws: WeightSystem, group: GroupData) -> t
     q = group.form
     values = {abs(q.apply(w, beta)) for w in ws.stratify_weights}
     return tuple(sorted(v for v in values if v != 0))
-
-
-def slice_generators_for_normal_weights(normal_weights) -> tuple[Fraction, ...]:
-    """Entry point for user-supplied normal-space weights of a stratum."""
-    return tuple(sorted({abs(w) for w in normal_weights if w != 0}))

@@ -26,7 +26,7 @@ from .convex import (
     gram_table,
     min_norm_point,
 )
-from .errors import CapExceeded, InternalInconsistency, InvalidParameter, NonabelianUnsupported
+from .errors import CapExceeded, InvalidParameter
 from .groups import GroupData, TorusCharacter, primitive_rescale, weyl_canonicalize
 from .linalg import dot, rref_key, span_extend
 from .scalars import Vector, is_zero_vector, vec_neg, vector
@@ -91,10 +91,6 @@ class KNStratum:
     v_plus: tuple[int, ...]
     v_zero: tuple[int, ...]
     v_minus: tuple[int, ...]
-
-    @property
-    def z_indices(self) -> tuple[int, ...]:
-        return self.v_zero
 
     @property
     def y_indices(self) -> tuple[int, ...]:
@@ -215,38 +211,3 @@ def _support_indices(
     for w in support_weights:
         out.add(weights.index(w))
     return tuple(sorted(out))
-
-
-def classify_point(
-    support: Sequence[int],
-    ws: WeightSystem,
-    chi: TorusCharacter,
-    group: GroupData,
-    orientation: str = "negative",
-    cap: int = DEFAULT_VERTEX_CAP,
-    enumerated: KNResult | None = None,
-) -> KNStratum | str:
-    """Stratum of a point with the given weight support, or "semistable".
-
-    Only defined for torus actions: for nonabelian groups the stratum of a
-    point is not determined by its torus weight support alone.
-    """
-    if not group.is_torus:
-        raise NonabelianUnsupported("classify_point needs a torus action")
-    weights = ws.stratify_weights
-    for i in support:
-        if not 0 <= i < len(weights):
-            raise InvalidParameter(f"support index {i} out of range")
-    members = sorted({weights[i] for i in support if not is_zero_vector(weights[i])})
-    if len(members) + 1 > cap:
-        raise CapExceeded(f"{len(members) + 1} vertices exceed the cap of {cap}")
-    table = gram_table(members, chi.vec, group.form)
-    v = min_norm_point(table, range(len(members))).direction
-    if is_zero_vector(v):
-        return "semistable"
-    beta_neg = primitive_rescale(vec_neg(v))
-    result = enumerated or enumerate_kn(ws, chi, group, orientation, cap)
-    for stratum in result.strata:
-        if stratum.beta_neg == beta_neg:
-            return stratum
-    raise InternalInconsistency("classified direction is not an enumerated stratum")

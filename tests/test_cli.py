@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
 import time
+
+import pytest
 
 from knx.cli import main
 from knx.problemfile import load_problem, parse_problem, render_problem
@@ -55,6 +59,28 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", GOLDEN_DIR / "proj_n1.json")
     assert code == 0
     assert "all subsets agree" in out
+
+
+def test_negative_eps_den_is_a_usage_error(capsys):
+    # eps = -1/2^K: a negative K is refused by the parser, not by a crash
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(GOLDEN_DIR / "proj_n1.json"), "--eps-den", "-1", "--samples", "0"])
+    assert exc.value.code == 2
+    assert "--eps-den" in capsys.readouterr().err
+
+
+def test_runs_on_the_standard_library_alone():
+    # -I -S leaves out site-packages and PYTHONPATH, so a third-party import
+    # anywhere in the package fails here
+    src = GOLDEN_DIR.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import knx, knx.cli; "
+            "sys.exit(knx.cli.main(['strata', sys.argv[2], '--json']))")
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(src), str(GOLDEN_DIR / "cherednik_n2.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "strata"
 
 
 def test_schema_rejects_empty_weights(tmp_path, capsys):

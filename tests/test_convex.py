@@ -11,7 +11,7 @@ from knx.errors import CapExceeded
 from knx.groups import TorusCharacter, torus
 from knx.oracle import numeric_min_norm
 from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vec_zero, vector
-from knx.strata import classify_point, span_candidates, weight_system
+from knx.strata import span_candidates, weight_system
 
 Q2 = GramForm.identity(2)
 EPS0 = F(-1, 2**20)
@@ -135,5 +135,3 @@ def test_vertex_cap(monkeypatch):
     chi = TorusCharacter(vector(["0", "1"]))
     with pytest.raises(CapExceeded):
         next(span_candidates(ws, chi, torus(2), cap=4))
-    with pytest.raises(CapExceeded):
-        classify_point(range(5), ws, chi, torus(2), cap=4)

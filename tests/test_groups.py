@@ -7,7 +7,6 @@ import pytest
 from knx.errors import InvalidParameter, ZeroVector
 from knx.groups import (
     LieCharacter,
-    TorusCharacter,
     gl,
     group_data,
     negative_root_weight_sum,
@@ -104,12 +103,6 @@ def test_lie_character_validation():
         validate_lie_character(LieCharacter(vector(["1", "1"]), vector(["1", "0"])), gl(2))
     # a torus has no roots, everything passes
     validate_lie_character(LieCharacter(vector(["7", "-3"])), torus(2))
-
-
-def test_torus_character_integrality_flag():
-    TorusCharacter(vector(["1/2"]))  # rational mode is fine
-    with pytest.raises(InvalidParameter):
-        TorusCharacter(vector(["1/2"]), genuine=True)
 
 
 def test_sl_preset_keeps_gl_lattice():

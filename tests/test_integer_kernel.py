@@ -2,7 +2,8 @@
 
 The reference below is the span walk and cone projection as they were
 before the kernel moved to integers: RREF bases over Fraction, a Fraction
-Gram table, and the Lawson-Hanson solve and certificate over Fraction.
+Gram table, and the Lawson-Hanson solve and certificate over Fraction,
+with its passive solves by the Gauss-Jordan reference of ``test_linalg``.
 Both must yield the same flats in the same order, with the same members,
 direction, projection, coefficients and pairings.
 """
@@ -17,10 +18,11 @@ from knx.convex import ConeProjection, cone_support
 from knx.engine import cherednik_preset
 from knx.errors import InternalInconsistency
 from knx.groups import TorusCharacter, group_data
-from knx.linalg import solve_exact
 from knx.oracle import random_problem
 from knx.scalars import is_zero_vector, vec_add, vec_scale, vec_sub, vec_zero
 from knx.strata import WeightSystem, span_candidates
+
+from test_linalg import ref_solve
 
 # -- reference: the Fraction kernel -----------------------------------------
 
@@ -75,8 +77,8 @@ def _ref_min_norm_point(weights, chi, q, members):
             break
         passive.append(max(entering, key=lambda k: dual[k]))
         while True:
-            z = solve_exact([[gram[i][j] for j in passive] for i in passive],
-                            [rhs[i] for i in passive])
+            z = ref_solve([[gram[i][j] for j in passive] for i in passive],
+                          [rhs[i] for i in passive])
             if all(x > 0 for x in z):
                 for k, x in zip(passive, z):
                     coeffs[k] = x

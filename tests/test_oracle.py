@@ -41,6 +41,14 @@ def test_numeric_min_norm_examples():
     assert numeric_min_norm(sym, Q2) == (F(0), eps0)
 
 
+def test_numeric_min_norm_cotangent_pair_is_semistable():
+    # one coordinate and one dual coordinate nonzero: 0 lies in the hull
+    # [-1+eps, 1+eps], so the point is semistable
+    eps0 = F(-1, 1024)
+    verts = [vector([eps0]), vector([1 + eps0]), vector([-1 + eps0])]
+    assert numeric_min_norm(verts, Q1) == vector(["0"])
+
+
 def test_oracle_config_validation():
     with pytest.raises(InvalidParameter):
         OracleConfig(epsilon_values=(F(-1, 2),))

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knx.errors import InvalidParameter
-from knx.scalars import GramForm, project_out_span, rat, rat_str, vector
+from knx.scalars import GramForm, rat, rat_str, vector
 
 
 def test_rat_parsing():
@@ -37,32 +36,6 @@ def test_pair_examples():
     u, v = vector(["1", "-1"]), vector(["1/2", "2"])
     assert w.apply(u, v) == w.apply(v, u) == F(-7, 2)
     assert w.norm2(u) == 3
-
-
-def test_project_out_span_examples():
-    q = GramForm.identity(2)
-    got = project_out_span(vector(["0", "1"]), [vector(["1", "1"])], q)
-    assert got == vector(["-1/2", "1/2"])
-
-    v = vector(["1", "1"])
-    assert project_out_span(v, [], q) == v
-
-    got = project_out_span(vector(["1", "0"]), [vector(["1", "0"]), vector(["2", "0"])], q)
-    assert got == vector(["0", "0"])
-
-
-def test_projection_orthogonal_and_idempotent():
-    rng = random.Random(3)
-    q = GramForm.from_rows([["2", "1"], ["1", "3"]])
-    for _ in range(100):
-        v = vector([rng.randint(-4, 4), rng.randint(-4, 4)])
-        spanning = [
-            vector([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(rng.randint(0, 3))
-        ]
-        p = project_out_span(v, spanning, q)
-        for s in spanning:
-            assert q.apply(p, s) == 0
-        assert project_out_span(p, spanning, q) == p
 
 
 def test_gram_form_validation():

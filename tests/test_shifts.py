@@ -107,14 +107,6 @@ def test_slice_subtraction_failure():
         compute_shift(vector(["1", "0"]), ws, gl(2))
 
 
-def test_user_supplied_normal_weights_entry_point():
-    from knx.shifts import slice_generators_for_normal_weights
-
-    gens = slice_generators_for_normal_weights([F(-2), F(0), F(3), F(2)])
-    assert gens == (F(2), F(3))
-    assert slice_generators_for_normal_weights([F(0)]) == ()
-
-
 def test_full_space_generators_superset():
     for s in range(10):
         p = random_problem(2, 4, 777 + s)

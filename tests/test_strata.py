@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knx.errors import CapExceeded, InvalidParameter, NonabelianUnsupported
+from knx.errors import CapExceeded, InvalidParameter
 from knx.groups import TorusCharacter, gl, group_data, torus
 from knx.oracle import random_problem
 from knx.scalars import vec_scale, vector
-from knx.strata import WeightSystem, classify_point, enumerate_kn, weight_system
+from knx.strata import WeightSystem, enumerate_kn, weight_system
 
 UP = TorusCharacter(vector(["0", "1"]))
 DOWN = TorusCharacter(vector(["0", "-1"]))
@@ -171,42 +171,6 @@ def test_cotangent_split_symmetry():
             mirrored = {(i + d) % (2 * d) for i in s.v_minus}
             assert mirrored == set(s.v_plus)
             assert set(s.v_zero) == {(i + d) % (2 * d) for i in s.v_zero}
-
-
-def test_classify_point_torus_examples():
-    r = enumerate_kn(TORUS2_WS, UP, torus(2))
-    # the origin of V is attracted by the lambda-axial subgroup
-    origin = classify_point([], TORUS2_WS, UP, torus(2), enumerated=r)
-    assert origin.beta_neg == vector(["0", "-1"])
-    assert origin.q_norm == max(s.q_norm for s in r.strata)
-    # support {weight (1,0)}: direction from the projected character
-    s = classify_point([0], TORUS2_WS, UP, torus(2), enumerated=r)
-    assert s.beta_neg == vector(["0", "-1"])
-    # support {weight (1,1)} picks up the orthogonal direction
-    s2 = classify_point([1], TORUS2_WS, UP, torus(2), enumerated=r)
-    assert s2.beta_neg == vector(["1", "-1"])
-
-
-def test_classify_point_cotangent_pair_is_semistable():
-    # one coordinate and one dual coordinate nonzero: 0 lies in the hull
-    # [-1+eps, 1+eps], so the point is semistable (oracle-checked value)
-    ws = weight_system([["1"], ["1"]], "cotangent")
-    chi = TorusCharacter(vector(["1"]))
-    got = classify_point([0, 2], ws, chi, torus(1))
-    assert got == "semistable"
-    from knx.oracle import numeric_min_norm
-    from knx.scalars import GramForm
-
-    eps0 = F(-1, 1024)
-    verts = [vector([eps0]), vector([1 + eps0]), vector([-1 + eps0])]
-    assert numeric_min_norm(verts, GramForm.identity(1)) == vector(["0"])
-
-
-def test_classify_point_guards():
-    with pytest.raises(NonabelianUnsupported):
-        classify_point([0], weight_system([["1", "0"]], "raw"), TorusCharacter(vector(["1", "1"])), gl(2))
-    with pytest.raises(InvalidParameter):
-        classify_point([9], TORUS2_WS, UP, torus(2))
 
 
 def test_span_dedup_matches_full_subset_enumeration():
