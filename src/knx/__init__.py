@@ -19,7 +19,6 @@ from .groups import (
     TorusCharacter,
     gl,
     group_data,
-    negative_root_weight_sum,
     primitive_rescale,
     product,
     sl,

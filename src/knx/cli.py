@@ -49,8 +49,8 @@ def run_random_self_checks(config: OracleConfig) -> bool:
 
 def nonnegative_int(text: str) -> int:
     k = int(text)
-    if k < 0:  # eps = -1/2^K needs K >= 0
-        raise argparse.ArgumentTypeError(f"K must be >= 0, not {k}")
+    if not 0 <= k <= 1000:  # eps = -1/2^K: the oracle's denominators grow as 2^K
+        raise argparse.ArgumentTypeError(f"K must be between 0 and 1000, not {k}")
     return k
 
 

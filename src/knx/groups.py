@@ -180,11 +180,6 @@ def primitive_rescale(v: Vector) -> Vector:
     return tuple(Fraction(a, g) for a in ints)
 
 
-def negative_root_weight_sum(beta: Vector, group: GroupData) -> Fraction:
-    """Sum of the negative beta-pairings over the roots (nonpositive; 0 for tori)."""
-    return sum((p for p in root_pairings(beta, group) if p < 0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class TorusCharacter:
     """Differential of a character of the maximal torus, in weight coordinates."""

@@ -7,7 +7,7 @@ Floats are rejected outright; unknown keys are rejected; the version key
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import Callable
 
 from .engine import ExactnessProblem
 from .errors import InvalidParameter, KnxError, SchemaError
@@ -21,7 +21,7 @@ from .groups import (
     sl,
     torus,
 )
-from .scalars import rat, rat_str
+from .scalars import rat
 from .strata import ORIENTATIONS, WeightSystem
 from .convex import DEFAULT_VERTEX_CAP
 
@@ -109,10 +109,7 @@ def _parse_weights(value, mode) -> WeightSystem:
     rows = _require_list(value, "weights")
     if not rows:
         raise SchemaError("weights must be nonempty")
-    vecs = tuple(_parse_vector(r, "weight") for r in rows)
-    if mode not in ("cotangent", "raw"):
-        raise SchemaError(f"unknown mode {mode!r}")
-    return WeightSystem(vecs, mode)
+    return WeightSystem(tuple(_parse_vector(r, "weight") for r in rows), mode)
 
 
 def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
@@ -201,45 +198,6 @@ def _require_positive_int(value, what: str) -> int:
     if value < 1:
         raise SchemaError(f"{what} must be >= 1")
     return value
-
-
-def render_problem(problem: ExactnessProblem) -> dict:
-    """Round-trippable JSON form of a problem."""
-    out: dict[str, Any] = {
-        "knx_version": SCHEMA_VERSION,
-        "group": _render_group(problem.group),
-        "weights": [[rat_str(x) for x in w] for w in problem.weights.w_weights],
-        "mode": problem.weights.mode,
-        "chi": [rat_str(x) for x in problem.chi.vec],
-        "orientation": problem.orientation,
-        "strictness": problem.strictness,
-    }
-    if problem.c is not None:
-        c: dict[str, Any] = {"base": [rat_str(x) for x in problem.c.base]}
-        if problem.c.direction is not None:
-            c["direction"] = [rat_str(x) for x in problem.c.direction]
-        out["c"] = c
-    if problem.dropped_strata:
-        out["drop_strata"] = [[rat_str(x) for x in v] for v in problem.dropped_strata]
-    return out
-
-
-def _render_group(group: GroupData) -> dict:
-    label = group.label
-    if label == f"torus({group.rank})":
-        return {"type": "torus", "rank": group.rank}
-    if label == f"gl({group.rank})":
-        return {"type": "gl", "n": group.rank}
-    if label == f"sl({group.rank})":
-        return {"type": "sl", "n": group.rank}
-    return {
-        "type": "custom",
-        "rank": group.rank,
-        "roots": [[rat_str(x) for x in r] for r in group.roots],
-        "simple_roots": [[rat_str(x) for x in r] for r in group.simple_roots],
-        "form": [[rat_str(x) for x in row] for row in group.form.rows],
-        "label": label,
-    }
 
 
 def load_problem(path: str, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem:

@@ -91,12 +91,8 @@ class GramForm:
 
     @classmethod
     def identity(cls, n: int) -> "GramForm":
-        return cls(
-            tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        one, zero = Fraction(1), Fraction(0)
+        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "GramForm":
@@ -104,10 +100,8 @@ class GramForm:
         n = len(mat)
         if any(len(r) != n for r in mat):
             raise InvalidParameter("form matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] != mat[j][i]:
-                    raise InvalidParameter("form matrix must be symmetric")
+        if any(mat[i][j] != mat[j][i] for i in range(n) for j in range(i)):
+            raise InvalidParameter("form matrix must be symmetric")
         # elimination without row swaps: the k-th pivot is the ratio of the
         # k-th and (k-1)-th leading minors, so all pivots are > 0 exactly
         # when the form is positive definite (Sylvester's criterion)
@@ -127,19 +121,22 @@ class GramForm:
         return tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in self.rows)
 
     def apply(self, u: Vector, v: Vector) -> Fraction:
-        if len(u) != self.rank or len(v) != self.rank:
+        if len(u) != self.rank:
             raise InvalidParameter("vector length does not match form rank")
-        total = Fraction(0)
-        for ui, row in zip(u, self._sparse_rows):
-            if ui:  # zero terms are skipped: weights are mostly sparse too
-                total += ui * sum(r * v[j] for j, r in row if v[j])
-        return total
+        # zero terms are skipped: weights are mostly sparse too
+        return sum((a * b for a, b in zip(u, self.covector(v)) if a), Fraction(0))
 
     def covector(self, v: Vector) -> tuple[Fraction, ...]:
         """q*v, so that q(u, v) is the dot product of u with it."""
         if len(v) != self.rank:
             raise InvalidParameter("vector length does not match form rank")
+        if self._is_identity:  # every preset's form: q*v is v
+            return tuple(v)
         return tuple(sum(r * v[j] for j, r in row) for row in self._sparse_rows)
+
+    @cached_property
+    def _is_identity(self) -> bool:
+        return all(row == ((i, 1),) for i, row in enumerate(self._sparse_rows))
 
     def norm2(self, v: Vector) -> Fraction:
         return self.apply(v, v)

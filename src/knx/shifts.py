@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency, SliceSubtractionFailure, UnsupportedMode
-from .groups import GroupData, negative_root_weight_sum, root_pairings
+from .errors import InternalInconsistency, InvalidParameter, SliceSubtractionFailure, UnsupportedMode
+from .groups import GroupData, root_pairings
 from .scalars import Vector
 from .strata import WeightSystem
 
@@ -36,27 +36,24 @@ def compute_shift(beta: Vector, ws: WeightSystem, group: GroupData) -> ShiftData
     """Shift and slice data for a signed destabilizing direction."""
     if ws.mode == "raw" and not group.is_torus:
         raise UnsupportedMode("raw mode shifts are only defined for torus actions")
-    q = group.form
-    base_pairings = [q.apply(w, beta) for w in ws.w_weights]
+    base_pairings = _base_pairings(beta, ws, group)
     half_abs = sum(abs(p) for p in base_pairings) / 2
-    n_minus = negative_root_weight_sum(beta, group)
+    negative = [g for g in root_pairings(beta, group) if g < 0]
+    n_minus = sum(negative, Fraction(0))
 
-    phase = Counter(base_pairings)
-    phase.update(-p for p in base_pairings)
-    for g in root_pairings(beta, group):
-        if g < 0:
-            for w in (g, -g):
-                if phase[w] <= 0:
-                    raise SliceSubtractionFailure(
-                        f"phase-space weights lack the nilpotent pairing {w}"
-                    )
-                phase[w] -= 1
-    slice_weights = tuple(sorted(phase.elements()))
+    # the phase space pairs to +-p for each base pairing p: take one |p| off for
+    # each nilpotent pair (g, -g) in root order; each m left gives -m and m
+    magnitudes = Counter(abs(p) for p in base_pairings)
+    for g in negative:
+        if magnitudes[-g] <= 0:
+            raise SliceSubtractionFailure(f"phase-space weights lack the nilpotent pairing {g}")
+        magnitudes[-g] -= 1
+    slice_weights = tuple(sorted(w for m, k in magnitudes.items() for w in (-m, m) for _ in range(k)))
 
     if 4 * half_abs != sum(abs(w) for w in slice_weights) - 2 * n_minus:
         raise InternalInconsistency("weight-sum identity failed")
 
-    generators = tuple(sorted({abs(w) for w in slice_weights if w != 0}))
+    generators = tuple(sorted(m for m, k in magnitudes.items() if m and k))
     return ShiftData(
         beta=beta,
         half_abs_sum=half_abs,
@@ -68,8 +65,14 @@ def compute_shift(beta: Vector, ws: WeightSystem, group: GroupData) -> ShiftData
 
 
 def full_space_generators(beta: Vector, ws: WeightSystem, group: GroupData) -> tuple[Fraction, ...]:
-    """Generator variant from all nonzero pairings of the stratified space,
-    without the nilpotent subtraction (the conservative superset)."""
-    q = group.form
-    values = {abs(q.apply(w, beta)) for w in ws.stratify_weights}
-    return tuple(sorted(v for v in values if v != 0))
+    """Generators from all nonzero pairings of the stratified space, without the nilpotent
+    subtraction (the conservative superset); the cotangent negatives add no magnitude."""
+    return tuple(sorted({abs(p) for p in _base_pairings(beta, ws, group) if p}))
+
+
+def _base_pairings(beta: Vector, ws: WeightSystem, group: GroupData) -> list[Fraction]:
+    """q(w, beta) for each base weight w, as its dot product with q*beta."""
+    if ws.rank != group.rank:
+        raise InvalidParameter("vector length does not match form rank")
+    qb = group.form.covector(beta)
+    return [sum((x * y for x, y in zip(w, qb) if x), Fraction(0)) for w in ws.w_weights]

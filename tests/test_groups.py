@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
@@ -9,7 +8,6 @@ from knx.groups import (
     LieCharacter,
     gl,
     group_data,
-    negative_root_weight_sum,
     primitive_rescale,
     product,
     sl,
@@ -77,21 +75,6 @@ def test_primitive_rescale_examples():
     assert primitive_rescale(vector(["0", "-3"])) == vector(["0", "-1"])
     with pytest.raises(ZeroVector):
         primitive_rescale(vector(["0", "0"]))
-
-
-def test_negative_root_weight_sum_examples():
-    assert negative_root_weight_sum(vector(["1", "0"]), gl(2)) == F(-1)
-    assert negative_root_weight_sum(vector(["1", "1"]), gl(2)) == F(0)
-    assert negative_root_weight_sum(vector(["5", "-2"]), torus(2)) == F(0)
-
-
-def test_negative_root_weight_sum_is_even():
-    rng = random.Random(23)
-    g = gl(3)
-    for _ in range(50):
-        v = vector([rng.randint(-4, 4) for _ in range(3)])
-        neg = vector([-x for x in v])
-        assert negative_root_weight_sum(v, g) == negative_root_weight_sum(neg, g)
 
 
 def test_lie_character_validation():

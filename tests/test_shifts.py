@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from knx.engine import cherednik_preset
 from knx.errors import SliceSubtractionFailure, UnsupportedMode
 from knx.groups import gl, torus
 from knx.oracle import random_problem
-from knx.scalars import vector
+from knx.scalars import vec_neg, vector
 from knx.semigroup import membership, semigroup_from_generators
 from knx.shifts import compute_shift, full_space_generators
 from knx.strata import enumerate_kn, weight_system
@@ -15,6 +16,7 @@ GL2_WS = weight_system(
     [["0", "0"], ["1", "-1"], ["-1", "1"], ["0", "0"], ["1", "0"], ["0", "1"]],
     "cotangent",
 )
+GL3_WS = cherednik_preset(3).weights
 
 
 def test_gl2_shift_k1():
@@ -42,6 +44,43 @@ def test_projective_shift():
         assert sd.semigroup_generators == (F(1),)
 
 
+def test_cherednik_slice_multisets():
+    # beta = e_1 + ... + e_k pairs the matrices e_i - e_j to +-1 across the
+    # split and the vector e_i to 1 for i <= k; the k(n-k) negative roots
+    # each take one (-1, 1) pair off the phase space
+    for n in (1, 2, 3, 4):
+        p = cherednik_preset(n)
+        kn = enumerate_kn(p.weights, p.chi, p.group, p.orientation)
+        assert sorted(sum(s.beta_dominant) for s in kn.strata) == list(range(1, n + 1))
+        for s in kn.strata:
+            k = int(sum(s.beta_dominant))
+            ones = k * (n - k) + k
+            zeros = 2 * (n * n - 2 * k * (n - k) + n - k)
+            want = (F(-1),) * ones + (F(0),) * zeros + (F(1),) * ones
+            for beta in (s.beta, vec_neg(s.beta)):
+                sd = compute_shift(beta, p.weights, p.group)
+                assert sd.slice_weights == want
+                assert sd.n_minus_sum == -k * (n - k)
+
+
+def test_n_minus_sum_examples():
+    assert compute_shift(vector(["1", "0"]), GL2_WS, gl(2)).n_minus_sum == F(-1)
+    assert compute_shift(vector(["1", "1"]), GL2_WS, gl(2)).n_minus_sum == F(0)
+    torus_ws = weight_system([["1", "0"], ["2", "-1"]], "cotangent")
+    assert compute_shift(vector(["5", "-2"]), torus_ws, torus(2)).n_minus_sum == F(0)
+
+
+def test_n_minus_sum_is_even():
+    rng = random.Random(23)
+    for _ in range(50):
+        v = vector([rng.randint(-4, 4) for _ in range(3)])
+        neg = vector([-x for x in v])
+        assert (
+            compute_shift(v, GL3_WS, gl(3)).n_minus_sum
+            == compute_shift(neg, GL3_WS, gl(3)).n_minus_sum
+        )
+
+
 def test_weight_sum_identity_holds_everywhere():
     problems = [random_problem(1 + s % 3, 1 + (s * 5) % 6, 400 + s) for s in range(100)]
     for p in problems:
@@ -57,11 +96,16 @@ def test_weight_sum_identity_holds_everywhere():
 
 def test_shift_parity_under_negation():
     rng = random.Random(99)
+    cases = (
+        (gl(2), GL2_WS),
+        (torus(2), weight_system([["1", "0"], ["2", "-1"]], "cotangent")),
+        (gl(3), GL3_WS),
+    )
     for _ in range(30):
-        beta = vector([rng.randint(-3, 3), rng.randint(-3, 3)])
-        if all(x == 0 for x in beta):
-            continue
-        for group, ws in ((gl(2), GL2_WS), (torus(2), weight_system([["1", "0"], ["2", "-1"]], "cotangent"))):
+        for group, ws in cases:
+            beta = vector([rng.randint(-3, 3) for _ in range(group.rank)])
+            if all(x == 0 for x in beta):
+                continue
             neg = vector([-x for x in beta])
             a = compute_shift(beta, ws, group)
             b = compute_shift(neg, ws, group)
