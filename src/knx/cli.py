@@ -47,11 +47,16 @@ def run_random_self_checks(config: OracleConfig) -> bool:
     return True
 
 
-def nonnegative_int(text: str) -> int:
-    k = int(text)
-    if not 0 <= k <= 1000:  # eps = -1/2^K: the oracle's denominators grow as 2^K
-        raise argparse.ArgumentTypeError(f"K must be between 0 and 1000, not {k}")
-    return k
+def int_in_range(name: str, low: int, high: int | None = None):
+    """An argparse type: an int k >= low, and k <= high when high is given."""
+    def parse(text: str) -> int:
+        k = int(text)
+        if k < low or high is not None and k > high:
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, not {k}")
+        return k
+    parse.__name__ = "int"  # named in argparse's "invalid int value: ..."
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,11 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--orientation", choices=ORIENTATIONS, default=None)
-        p.add_argument("--max-weights", type=int, default=None, metavar="N")
+        p.add_argument("--max-weights", type=int_in_range("N", 1), default=None, metavar="N")
         if name == "oracle":
-            p.add_argument("--eps-den", type=nonnegative_int, default=20, metavar="K",
+            # eps = -1/2^K: the oracle's denominators grow as 2^K
+            p.add_argument("--eps-den", type=int_in_range("K", 0, 1000), default=20, metavar="K",
                            help="use eps = -1/2^K and -1/2^(K+4)")
-            p.add_argument("--samples", type=int, default=20, metavar="M",
+            p.add_argument("--samples", type=int_in_range("M", 0), default=20, metavar="M",
                            help="seeded random self-check problems to run")
             p.add_argument("--seed", type=int, default=0, metavar="S")
     return parser

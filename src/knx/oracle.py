@@ -4,6 +4,9 @@ The oracle substitutes a concrete small negative rational eps0 for epsilon
 and re-solves every flat's perturbed hull conv{0, w_i} + eps0*chi with
 exhaustive support enumeration and a global minimum: exact arithmetic
 throughout, no early exit, and no use of the cone projection it checks.
+Each solve builds one integer Gram table of its vertices and reads every
+support's system off it.  With the certificate path it shares the flats
+and the elimination kernel (``matrix_rank``, ``solve_exact``) only.
 The closest point must equal eps0*v for the certified direction v.  This
 per-flat equality is the whole comparison: the strata are the Weyl classes
 of the directions of these same flats, so a set-level re-check could only
@@ -16,19 +19,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .convex import DEFAULT_VERTEX_CAP
 from .engine import ExactnessProblem
 from .errors import CapExceeded, InvalidParameter
-from .groups import (
-    GroupData,
-    LieCharacter,
-    TorusCharacter,
-    primitive_rescale,
-    torus,
-)
-from .linalg import matrix_rank, solve_exact
+from .groups import GroupData, LieCharacter, TorusCharacter, primitive_rescale, torus
+from .linalg import clear_denominators, dot, matrix_rank, solve_exact
 from .scalars import (
     GramForm,
     Vector,
@@ -36,7 +34,6 @@ from .scalars import (
     vec_add,
     vec_neg,
     vec_scale,
-    vec_sub,
     vec_zero,
 )
 from .strata import WeightSystem, span_candidates
@@ -63,38 +60,47 @@ def numeric_min_norm(
     """Exact minimum-norm point of conv(vertices) by full support enumeration.
 
     Every affinely independent support is solved; feasible candidates are
-    collected and the global q-norm minimum returned.  Deliberately no
+    compared and the global q-norm minimum returned.  Deliberately no
     early exit: this is the independent check of the certificate path.
+    The vertices and the form are cleared to integers once, which scales
+    every norm by one positive constant, and their Gram table
+    G[i][j] = Q(V_i, V_j) is built once: each support's system is read off
+    G, and its point, with barycentric weights lam/den, is compared by
+    lam^T G lam / den^2 in integers.
     """
     if len(vertices) > cap:
         raise CapExceeded(f"{len(vertices)} vertices exceed the cap of {cap}")
     dim = len(vertices[0])
-    best: Vector | None = None
-    best_norm: Fraction | None = None
-    for size in range(1, min(len(vertices), dim + 1) + 1):
-        for support in combinations(range(len(vertices)), size):
-            pts = [vertices[i] for i in support]
-            diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
-            if diffs and matrix_rank(diffs) != len(diffs):
-                continue
-            if not diffs:
-                candidate = pts[0]
-            else:
-                gram = [[q.apply(a, b) for b in diffs] for a in diffs]
-                rhs = [-q.apply(pts[0], d) for d in diffs]
-                sol = solve_exact(gram, rhs)
+    scale, pts = clear_denominators(vertices)
+    form = clear_denominators(q.rows)[1]
+    covectors = [tuple(dot(row, p) for row in form) for p in pts]
+    g = [[dot(c, p) for p in pts] for c in covectors]
+    best, best_norm, best_den = None, 0, 1
+    for size in range(1, min(len(pts), dim + 1) + 1):
+        for support in combinations(range(len(pts)), size):
+            i, *rest = support
+            den, lam = 1, [1]
+            if rest:
+                if matrix_rank([tuple(a - b for a, b in zip(pts[j], pts[i])) for j in rest]) != len(rest):
+                    continue
+                # Q(V_a - V_i, V_b - V_i) x_b = -Q(V_i, V_a - V_i), each read off G
+                gi = g[i]
+                minor = [[g[a][b] - g[a][i] - gi[b] + gi[i] for b in rest] for a in rest]
+                sol = solve_exact(minor, [gi[i] - gi[a] for a in rest])
                 if sol is None:
                     continue
-                if any(s < 0 for s in sol) or sum(sol) > 1:
+                den = lcm(*(x.denominator for x in sol))
+                nums = [x.numerator * (den // x.denominator) for x in sol]
+                if any(n < 0 for n in nums) or sum(nums) > den:
                     continue
-                candidate = pts[0]
-                for s, d in zip(sol, diffs):
-                    candidate = vec_add(candidate, vec_scale(s, d))
-            norm = q.norm2(candidate)
-            if best_norm is None or norm < best_norm:
-                best, best_norm = candidate, norm
+                lam = [den - sum(nums), *nums]
+            norm = sum(la * lb * g[a][b] for a, la in zip(support, lam) for b, lb in zip(support, lam))
+            if best is None or norm * best_den**2 < best_norm * den**2:
+                best, best_norm, best_den = (support, lam), norm, den
     assert best is not None
-    return best
+    support, lam = best
+    return tuple(Fraction(sum(la * pts[a][k] for a, la in zip(support, lam)), best_den * scale)
+                 for k in range(dim))
 
 
 @dataclass(frozen=True)

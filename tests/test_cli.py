@@ -79,6 +79,34 @@ def test_eps_den_above_the_bound_is_a_usage_error(capsys):
     assert time.monotonic() - started < 1.0
 
 
+def test_negative_samples_is_a_usage_error(capsys):
+    # a negative count of random self-checks is refused, not reported as
+    # "-5 seeded problems, all agree"
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(GOLDEN_DIR / "proj_n1.json"), "--samples", "-5"])
+    assert exc.value.code == 2
+    assert "M must be at least 0, not -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_weights_below_one_is_a_usage_error(capsys, cap):
+    # refused by the parser (exit 2), not reported as a cap error (exit 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["strata", str(GOLDEN_DIR / "cherednik_n2.json"), "--max-weights", cap])
+    assert exc.value.code == 2
+    assert f"N must be at least 1, not {cap}" in capsys.readouterr().err
+
+
+def test_oracle_at_the_largest_eps_den(capsys):
+    # eps = -1/2^1000: every support of the gl(3) flats is solved on
+    # integers of thousands of bits (0.3-0.6 s on a 2-vCPU x86-64 host)
+    started = time.monotonic()
+    code, out, _ = run(capsys, "oracle", GOLDEN_DIR / "cherednik_n3.json",
+                       "--eps-den", "1000", "--samples", "0")
+    assert code == 0 and "all subsets agree" in out
+    assert time.monotonic() - started < 5.0
+
+
 def test_runs_on_the_standard_library_alone():
     # -I -S leaves out site-packages and PYTHONPATH, so a third-party import
     # anywhere in the package fails here

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,8 @@ from knx.oracle import (
 )
 from knx.engine import cherednik_preset
 from knx.groups import weyl_canonicalize
-from knx.scalars import GramForm, vec_scale, vector
+from knx.linalg import matrix_rank, solve_exact
+from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vector
 from knx.strata import enumerate_kn, weight_system
 
 Q1 = GramForm.identity(1)
@@ -47,6 +49,69 @@ def test_numeric_min_norm_cotangent_pair_is_semistable():
     eps0 = F(-1, 1024)
     verts = [vector([eps0]), vector([1 + eps0]), vector([-1 + eps0])]
     assert numeric_min_norm(verts, Q1) == vector(["0"])
+
+
+def reference_min_norm(vertices, q):
+    # the same exhaustive search on Fractions: each support's minor is
+    # paired with q.apply and each candidate compared by its q-norm
+    dim = len(vertices[0])
+    best, best_norm = None, None
+    for size in range(1, min(len(vertices), dim + 1) + 1):
+        for support in combinations(range(len(vertices)), size):
+            pts = [vertices[i] for i in support]
+            diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
+            if diffs and matrix_rank(diffs) != len(diffs):
+                continue
+            candidate = pts[0]
+            if diffs:
+                gram = [[q.apply(a, b) for b in diffs] for a in diffs]
+                sol = solve_exact(gram, [-q.apply(pts[0], d) for d in diffs])
+                if sol is None or any(s < 0 for s in sol) or sum(sol) > 1:
+                    continue
+                for s, d in zip(sol, diffs):
+                    candidate = vec_add(candidate, vec_scale(s, d))
+            norm = q.norm2(candidate)
+            if best_norm is None or norm < best_norm:
+                best, best_norm = candidate, norm
+    return best
+
+
+FORMS = {
+    "identity": lambda dim: GramForm.identity(dim),
+    "double": lambda dim: GramForm.from_rows([[2 if i == j else 0 for j in range(dim)] for i in range(dim)]),
+    "off-diagonal": lambda dim: GramForm.from_rows([[2, 1], [1, 2]]),
+}
+COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hull_problems(draw):
+    name = draw(st.sampled_from(sorted(FORMS)))
+    dim = 2 if name == "off-diagonal" else draw(st.integers(1, 3))
+    base = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=1, max_size=4))
+    # p_i + s (p_j - p_i) + t (p_k - p_i): a duplicate when s = t = 0,
+    # collinear with p_i and p_j when t = 0, coplanar with all three else
+    index = st.integers(0, len(base) - 1)
+    extra = draw(st.lists(st.tuples(index, index, index, COORDS, st.sampled_from([0, 0, F(1, 2), 2])),
+                          max_size=3))
+    points = list(base)
+    for i, j, k, s, t in extra:
+        p, dj, dk = base[i], vec_sub(base[j], base[i]), vec_sub(base[k], base[i])
+        points.append(vec_add(p, vec_add(vec_scale(s, dj), vec_scale(t, dk))))
+    return draw(st.permutations(points)), FORMS[name](dim)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hull_problems())
+@example(([vector(["1/2", "-3"])], GramForm.from_rows([[2, 1], [1, 2]])))
+@example(([vector(["1", "1"])] * 3 + [vector(["2", "2"]), vector(["3", "3"])], GramForm.identity(2)))
+@example(([vector(["1", "0", "1"]), vector(["0", "1", "1"]), vector(["1", "1", "1"]),
+           vector(["2", "-1", "1"])], GramForm.identity(3)))
+def test_numeric_min_norm_matches_the_fraction_search(problem):
+    vertices, q = problem
+    got = numeric_min_norm(vertices, q)
+    assert got == reference_min_norm(vertices, q)
+    assert all(type(x) is F for x in got)
 
 
 def test_oracle_config_validation():
