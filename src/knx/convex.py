@@ -15,19 +15,21 @@ positive constants only.  The Moreau/KKT conditions certify the result
 completely and are re-checked in integers: the coefficients of p are >= 0,
 q(w, v) <= 0 for every weight w of the set, and q(p, v) = 0.  Only then
 are v, p, the coefficients and the pairings turned into Fractions.
+
+The defining support of p is read off the solve, not searched for: the
+members with a coefficient > 0, its final passive set, are independent
+weights of the face {w : q(w, v) = 0} that carry p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from .errors import InternalInconsistency
 from .linalg import IntVector, clear_denominators, dot, matrix_rank, solve_exact
-from .scalars import GramForm, Vector, is_zero_vector
+from .scalars import GramForm, Vector
 
 DEFAULT_VERTEX_CAP = 24
 
@@ -117,13 +119,12 @@ def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
             for k, x in zip(passive, z):
                 coeffs[k] += step * (x - coeffs[k])
             passive = [k for k in passive if coeffs[k] > 0]
-        den = lcm(*(c.denominator for c in coeffs))
-        ks = [c.numerator * (den // c.denominator) for c in coeffs]
+        den, (ks,) = clear_denominators([coeffs])
         dual = [den * r - dot(row, ks) for r, row in zip(rhs, gram)]
     return _certify(table, members, ks, den)
 
 
-def _certify(table: GramTable, members: tuple[int, ...], ks: list[int], den: int) -> ConeProjection:
+def _certify(table: GramTable, members: tuple[int, ...], ks: Sequence[int], den: int) -> ConeProjection:
     # the Moreau/KKT conditions, re-evaluated from the integer vectors and
     # form: the coefficients of X on the W_i are ks/den, so den*X = P + V
     # with P = sum k_i W_i
@@ -152,20 +153,12 @@ def _certify(table: GramTable, members: tuple[int, ...], ks: list[int], den: int
     )
 
 
-def cone_support(proj: ConeProjection, table: GramTable) -> tuple[Vector, ...]:
-    """First linearly independent set of member weights, in (size, lex)
-    order over the members, that lies in the face {w : q(w, v) = 0} and
-    carries the projection p with every coefficient > 0; () when p = 0."""
-    p = proj.projection
-    if is_zero_vector(p):
-        return ()
-    face = [table.weights[i] for i, s in zip(proj.members, proj.pairings) if s == 0]
-    dim = len(p)
-    for size in range(1, min(len(face), dim) + 1):
-        for support in combinations(face, size):
-            if matrix_rank(support) != size:
-                continue
-            a = solve_exact([[w[r] for w in support] for r in range(dim)], list(p))
-            if a is not None and all(x > 0 for x in a):
-                return support
-    raise InternalInconsistency("no face of the cone carries the projection")
+def cone_support(proj: ConeProjection, table: GramTable) -> tuple[int, ...]:
+    """Table indices of the members with coefficient > 0: the final passive
+    set of the solve, () when p = 0.  By the certificate they carry p with
+    positive coefficients and pair to 0 with v; their linear independence
+    is re-checked here."""
+    support = tuple(i for i, c in zip(proj.members, proj.coefficients) if c > 0)
+    if matrix_rank([table.int_weights[i] for i in support]) != len(support):
+        raise InternalInconsistency("the defining support is linearly dependent")
+    return support

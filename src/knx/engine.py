@@ -17,7 +17,7 @@ from .groups import (
     validate_torus_character,
     weyl_canonicalize,
 )
-from .scalars import Vector, vec_zero, vector
+from .scalars import Vector, rat_str, vec_zero, vector
 from .semigroup import (
     NumericalSemigroup,
     SetDescription,
@@ -95,9 +95,8 @@ def _kept_strata(problem: ExactnessProblem) -> tuple[KNResult, tuple[KNStratum, 
     known = {s.beta_dominant for s in result.strata}
     unknown = dropped - known
     if unknown:
-        raise InvalidParameter(
-            f"dropped strata do not match any enumerated stratum: {sorted(unknown)}"
-        )
+        shown = ", ".join("(" + ", ".join(map(rat_str, v)) + ")" for v in sorted(unknown))
+        raise InvalidParameter(f"dropped strata do not match any enumerated stratum: {shown}")
     kept = tuple(s for s in result.strata if s.beta_dominant not in dropped)
     return result, kept
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import InternalInconsistency, InvalidParameter, ZeroVector
+from .linalg import clear_denominators
 from .scalars import GramForm, Vector, vec_scale, vec_sub, vector
 
 _CANONICALIZE_ITER_CAP = 100_000
@@ -172,11 +173,8 @@ def primitive_rescale(v: Vector) -> Vector:
     """Unique positive rational multiple of v with coprime integer entries."""
     if all(x == 0 for x in v):
         raise ZeroVector("cannot rescale the zero vector")
-    denom = lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    _, (ints,) = clear_denominators([v])
+    g = gcd(*ints)
     return tuple(Fraction(a, g) for a in ints)
 
 

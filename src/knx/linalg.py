@@ -13,7 +13,8 @@ keeps the entries small.
 The span walk of the strata path extends bases directly.  ``matrix_rank``
 is the size of the basis of the rows, and ``solve_exact`` reads x off the
 basis of the augmented rows [A | b]; the passive solves of the cone
-projection, the defining supports and the oracle use them.  Sizes in this
+projection and the oracle use both, and each defining support makes one
+``matrix_rank`` call to re-check its independence.  Sizes in this
 package stay in the single digits, so straightforward elimination is both
 fast enough and easy to audit.
 """

@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from .convex import DEFAULT_VERTEX_CAP
@@ -89,8 +88,7 @@ def numeric_min_norm(
                 sol = solve_exact(minor, [gi[i] - gi[a] for a in rest])
                 if sol is None:
                     continue
-                den = lcm(*(x.denominator for x in sol))
-                nums = [x.numerator * (den // x.denominator) for x in sol]
+                den, (nums,) = clear_denominators([sol])
                 if any(n < 0 for n in nums) or sum(nums) > den:
                     continue
                 lam = [den - sum(nums), *nums]

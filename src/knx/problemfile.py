@@ -67,7 +67,7 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem
                 data.get("drop_strata", []), "drop_strata"
             )
         )
-        _check_lengths(rank, weights, chi, c)
+        _check_lengths(rank, weights, chi, c, dropped)
         return ExactnessProblem(
             group=build_group(),
             weights=weights,
@@ -156,11 +156,10 @@ def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
     raise SchemaError(f"unknown group type {kind!r}")
 
 
-def _check_lengths(
-    rank: int, weights: WeightSystem, chi: TorusCharacter, c: LieCharacter | None
-) -> None:
-    """The length checks of ExactnessProblem and the strata enumeration,
-    with their messages, made before the group is built."""
+def _check_lengths(rank: int, weights: WeightSystem, chi: TorusCharacter,
+                   c: LieCharacter | None, dropped: tuple[tuple, ...]) -> None:
+    """The length checks of ExactnessProblem, the strata enumeration and
+    the dropped strata, with their messages, made before the group is built."""
     if len(chi.vec) != rank:
         raise SchemaError("chi length does not match rank")
     if c is not None:
@@ -169,6 +168,8 @@ def _check_lengths(
                 raise SchemaError(f"character {name} length does not match rank")
     if weights.rank != rank:
         raise SchemaError("weights, character and group rank disagree")
+    if any(len(v) != rank for v in dropped):
+        raise SchemaError("drop_strata entry length does not match rank")
 
 
 def _parse_character(value) -> LieCharacter | None:

@@ -17,10 +17,11 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InternalInconsistency, InvalidParameter
+from .linalg import clear_denominators
 from .scalars import rat_str
 
 
@@ -77,14 +78,13 @@ def semigroup_from_generators(gens: Iterable[Fraction]) -> NumericalSemigroup:
         raise InvalidParameter("generators must be positive")
     if not originals:
         return NumericalSemigroup((), Fraction(1), 0, (), 0)
-    denom = lcm(*(g.denominator for g in originals))
-    scale = Fraction(1, denom)
-    ints = sorted({int(g * denom) for g in originals})
+    # originals are sorted and distinct, so ints are too
+    denom, (ints,) = clear_denominators([originals])
     content = gcd(*ints)
     apery = _apery_set([n // content for n in ints])
     # the Frobenius number is max(apery) - a1; it is -1 when a1 = 1
     conductor = content * (max(apery) - len(apery) + 1)
-    return NumericalSemigroup(tuple(ints), scale, content, apery, conductor)
+    return NumericalSemigroup(ints, Fraction(1, denom), content, apery, conductor)
 
 
 def _apery_set(reduced: Sequence[int]) -> tuple[int, ...]:
@@ -201,9 +201,7 @@ class SetDescription:
         text = f"{base} {sign} {ray}"
         if self.gaps:
             # offset + modulus*k = (a + b*k)/den, reduced by one gcd per point
-            den = lcm(self.offset.denominator, self.modulus.denominator)
-            a = self.offset.numerator * (den // self.offset.denominator)
-            b = self.modulus.numerator * (den // self.modulus.denominator)
+            den, ((a, b),) = clear_denominators([(self.offset, self.modulus)])
             points = []
             for k in self.gaps:
                 num = a + b * k

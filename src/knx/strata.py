@@ -78,7 +78,8 @@ class KNStratum:
     point is eps*v); beta_neg/beta_pos are the two signed primitive
     representatives, beta the orientation-selected one.  Index fields refer
     to positions in stratify_weights; the defining subset is the origin
-    together with the weights at defining_indices.
+    together with the weights at defining_indices: the final passive set
+    of the cone solve on the first flat giving this stratum.
     """
 
     direction: Vector
@@ -164,6 +165,8 @@ def enumerate_kn(
     q = group.form
     semistable = False
     found: dict[Vector, KNStratum] = {}
+    # each weight's first position: later positions are overwritten
+    first = {w: i for i, w in reversed(tuple(enumerate(weights)))}
     for table, proj in span_candidates(ws, chi, group, cap):
         v = proj.direction
         if is_zero_vector(v):
@@ -193,21 +196,10 @@ def enumerate_kn(
             beta=beta,
             beta_dominant=dominant,
             q_norm=q.norm2(v),
-            defining_indices=_support_indices(cone_support(proj, table), weights),
+            defining_indices=tuple(sorted(first[table.weights[j]] for j in cone_support(proj, table))),
             v_plus=tuple(plus),
             v_zero=tuple(zero_idx),
             v_minus=tuple(minus),
         )
     strata = sorted(found.values(), key=lambda s: (s.q_norm, s.beta_dominant))
     return KNResult(tuple(strata), semistable, orientation)
-
-
-def _support_indices(
-    support_weights: tuple[Vector, ...], weights: tuple[Vector, ...]
-) -> tuple[int, ...]:
-    # map each distinct support weight to the first stratify-weight index
-    # carrying that vector
-    out = set()
-    for w in support_weights:
-        out.add(weights.index(w))
-    return tuple(sorted(out))

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knx.strata
-from knx.convex import gram_table, min_norm_point
-from knx.errors import CapExceeded
+from knx.convex import ConeProjection, cone_support, gram_table, min_norm_point
+from knx.errors import CapExceeded, InternalInconsistency
 from knx.groups import TorusCharacter, torus
 from knx.oracle import numeric_min_norm
 from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vec_zero, vector
@@ -122,6 +122,21 @@ def test_cone_projection_certificate_and_oracle(problem):
     proj = _project(weights, chi, q)
     _assert_kkt(weights, chi, proj, q)
     assert proj.direction == _oracle_direction(weights, chi, q)
+
+
+def test_cone_support_rejects_a_dependent_passive_set():
+    # a forged projection whose positive members w and 2w are dependent
+    w = vector(["1", "1"])
+    table = gram_table([w, vec_scale(F(2), w)], vector(["3", "3"]), Q2)
+    forged = ConeProjection(
+        direction=vec_zero(2),
+        projection=vector(["3", "3"]),
+        members=(0, 1),
+        coefficients=(F(1), F(1)),
+        pairings=(F(0), F(0)),
+    )
+    with pytest.raises(InternalInconsistency):
+        cone_support(forged, table)
 
 
 def test_vertex_cap(monkeypatch):

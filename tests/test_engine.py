@@ -1,4 +1,6 @@
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -57,21 +59,24 @@ def test_cherednik_certified_and_violated():
 
 
 def test_cherednik_forbidden_loci():
-    for n in (1, 2, 3):
-        v = forbidden(cherednik_preset(n))
+    # stratum k is sum_{i<=k} e_i and its locus is 1/2 + (1/k)Z>=0; gl(4)
+    # has 21 and gl(5) 31 distinct weights, beyond the default cap
+    for n in (1, 2, 3, 4, 5):
+        start = time.perf_counter()
+        v = forbidden(replace(cherednik_preset(n), cap=10**6))
+        elapsed = time.perf_counter() - start
         assert v.status == PARAMETRIC
-        expected = [
+        assert [l.stratum.beta_dominant for l in v.loci] == [
+            tuple(F(int(i < k)) for i in range(n)) for k in range(1, n + 1)
+        ]
+        assert [l.locus for l in v.loci] == [
             SetDescription(offset=F(1, 2), modulus=F(1, k), gaps=(), conductor=0)
             for k in range(1, n + 1)
         ]
-        assert sorted((l.locus for l in v.loci), key=lambda d: d.modulus) == sorted(
-            expected, key=lambda d: d.modulus
-        )
+    assert elapsed < 10  # gl(5), with a wide margin
 
 
 def test_cherednik_forbidden_negative_orientation_mirror():
-    from dataclasses import replace
-
     p = replace(cherednik_preset(2), orientation="negative")
     v = forbidden(p)
     loci = sorted((l.locus for l in v.loci), key=lambda d: d.modulus)
@@ -134,8 +139,6 @@ def test_dropping_strata_is_monotone():
     p = cherednik_preset(2)
     bad = with_fixed_parameter(p, F(3, 2))
     assert check(bad).status == VIOLATED
-    from dataclasses import replace
-
     dropped_all = replace(
         bad, dropped_strata=(vector(["1", "0"]), vector(["1", "1"]))
     )
@@ -146,17 +149,13 @@ def test_dropping_strata_is_monotone():
 
 
 def test_dropping_unknown_stratum_errors():
-    from dataclasses import replace
-
     p = with_fixed_parameter(cherednik_preset(2), F(1, 3))
     broken = replace(p, dropped_strata=(vector(["5", "3"]),))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=r"\(5, 3\)"):
         check(broken)
 
 
 def test_both_orientation_checks_both_signs():
-    from dataclasses import replace
-
     p = replace(proj_problem(1, F(0)), orientation="both")
     v = check(p)
     betas = {c.signed_beta for c in v.checks}

@@ -9,7 +9,6 @@ direction, projection, coefficients and pairings.
 """
 
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,7 @@ from knx.oracle import random_problem
 from knx.scalars import is_zero_vector, vec_add, vec_scale, vec_sub, vec_zero
 from knx.strata import WeightSystem, span_candidates
 
-from test_linalg import ref_solve
+from test_linalg import ref_rank, ref_solve
 
 # -- reference: the Fraction kernel -----------------------------------------
 
@@ -159,6 +158,26 @@ def test_integer_kernel_matches_the_fraction_reference(problem):
     got = list(span_candidates(ws, chi, group))
     expected = list(_ref_span_candidates(ws, chi, group))
     assert [proj for _, proj in got] == [proj for _, proj in expected]
-    for (table, proj), (weights, ref) in zip(got, expected):
+    for (table, _), (weights, _) in zip(got, expected):
         assert table.weights == tuple(weights)
-        assert cone_support(proj, table) == cone_support(ref, SimpleNamespace(weights=weights))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_rational_random_problems())
+@example(_cherednik(2))
+@example(_cherednik(3))
+@example(_cherednik(4))
+def test_defining_support_is_an_independent_face_set_carrying_the_projection(problem):
+    # the members with coefficient c_i > 0 are independent, lie in the face
+    # {w : q(w, v) = 0} and sum to p as sum c_i w_i
+    ws, chi, group = problem
+    for table, proj in span_candidates(ws, chi, group):
+        support = cone_support(proj, table)
+        coefficient = dict(zip(proj.members, proj.coefficients))
+        assert ref_rank([table.weights[i] for i in support]) == len(support)
+        p = vec_zero(ws.rank)
+        for i in support:
+            assert coefficient[i] > 0
+            assert group.form.apply(table.weights[i], proj.direction) == 0
+            p = vec_add(p, vec_scale(coefficient[i], table.weights[i]))
+        assert p == proj.projection

@@ -125,3 +125,11 @@ def test_products_nested_deeper_than_the_stack_are_schema_errors():
         group = {"type": "product", "factors": [group]}
     with pytest.raises(SchemaError, match="nesting"):
         parse_problem({"knx_version": 1, "group": group, "weights": [["1"]], "chi": ["0"]})
+
+
+def test_drop_strata_entries_are_length_checked():
+    problem = {"knx_version": 1, "group": {"type": "gl", "n": 2},
+               "weights": [["1", "0"], ["0", "1"]], "chi": ["1", "1"],
+               "drop_strata": [["1", "0"], ["1"]]}
+    with pytest.raises(SchemaError, match="drop_strata entry length does not match rank"):
+        parse_problem(problem)
