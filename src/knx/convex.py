@@ -106,10 +106,11 @@ def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
             break
         passive.append(max(entering, key=lambda k: dual[k]))
         while True:
-            z = solve_exact([[gram[i][j] for j in passive] for i in passive],
-                            [rhs[i] for i in passive])
-            if z is None:
+            sol = solve_exact([[gram[i][j] for j in passive] for i in passive],
+                              [rhs[i] for i in passive])
+            if sol is None:
                 raise InternalInconsistency("the passive weights became linearly dependent")
+            z = [Fraction(k, sol[0]) for k in sol[1]]
             if all(x > 0 for x in z):
                 for k, x in zip(passive, z):
                     coeffs[k] = x

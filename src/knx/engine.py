@@ -15,6 +15,7 @@ from .groups import (
     gl,
     validate_lie_character,
     validate_torus_character,
+    validate_weyl_stable,
     weyl_canonicalize,
 )
 from .scalars import Vector, rat_str, vec_zero, vector
@@ -54,6 +55,9 @@ class ExactnessProblem:
         validate_torus_character(self.chi, self.group)
         if self.c is not None:
             validate_lie_character(self.c, self.group)
+        if self.weights.rank != self.group.rank:
+            raise InvalidParameter("weights, character and group rank disagree")
+        validate_weyl_stable(self.weights.w_weights, self.group)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ the reflection action.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -15,7 +16,7 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import InternalInconsistency, InvalidParameter, ZeroVector
-from .linalg import clear_denominators
+from .linalg import clear_denominators, dot
 from .scalars import GramForm, Vector, vec_scale, vec_sub, vector
 
 _CANONICALIZE_ITER_CAP = 100_000
@@ -207,6 +208,28 @@ def validate_torus_character(chi: TorusCharacter, group: GroupData) -> None:
     """chi must have the group's rank and vanish on every root, so that the
     Weyl group permutes the strata it defines."""
     _require_invariant("chi", chi.vec, group)
+
+
+def validate_weyl_stable(weights: Sequence[Vector], group: GroupData) -> None:
+    """Every simple reflection must permute the weight multiset: the strata
+    are Weyl classes of flat directions, and v(wF) = w v(F) for the flats F
+    and Weyl elements w only if the Weyl group permutes the weights."""
+    if not group.simple_roots:
+        return
+    ints = clear_denominators(weights)[1]
+    for root in group.simple_roots:
+        # S and Q S over one denominator: Q(S, S) times the reflection of W
+        # is Q(S, S) W - 2 Q(W, S) S, and the weights with Q(W, S) = 0 are fixed
+        s, qs = clear_denominators([root, group.form.covector(root)])[1]
+        qss = dot(s, qs)
+        moved = [(w, p) for w in ints if (p := dot(w, qs))]
+        if Counter(tuple(qss * a for a in w) for w, _ in moved) != Counter(
+            tuple(qss * a - 2 * p * b for a, b in zip(w, s)) for w, p in moved
+        ):
+            raise InvalidParameter(
+                f"the reflection in the simple root {tuple(map(str, root))} "
+                "does not permute the weights"
+            )
 
 
 def _require_invariant(what: str, vec: Vector, group: GroupData) -> None:

@@ -11,10 +11,13 @@ multiplies by the pivot instead of dividing by it, and one gcd at the end
 keeps the entries small.
 
 The span walk of the strata path extends bases directly.  ``matrix_rank``
-is the size of the basis of the rows, and ``solve_exact`` reads x off the
-basis of the augmented rows [A | b]; the passive solves of the cone
-projection and the oracle use both, and each defining support makes one
-``matrix_rank`` call to re-check its independence.  Sizes in this
+is the size of the basis of the rows, and ``solve_exact`` reads
+x = nums/den off the basis of the augmented rows [A | b] and returns the
+integers (den, nums).  The passive solves of the cone projection call
+``solve_exact``, and each defining support makes one ``matrix_rank`` call
+to re-check its independence.  The oracle makes one ``matrix_rank`` call
+per closest-point search, for the affine rank of its vertices, and one
+``solve_exact`` per support.  Sizes in this
 package stay in the single digits, so straightforward elimination is both
 fast enough and easy to audit.
 """
@@ -117,16 +120,19 @@ def _pivot(row: Sequence) -> int | None:
 
 def solve_exact(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve A x = b exactly; None if inconsistent, free variables set to 0."""
+) -> tuple[int, IntVector] | None:
+    """Solve A x = b exactly as x = nums/den with den > 0; None if
+    inconsistent, free variables set to 0."""
     n = len(rows[0]) if rows else 0
     aug = clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])[1]
-    sol = [Fraction(0)] * n
-    # each row of the canonical basis of [A | b] is a row of its RREF times
-    # the row's pivot entry
-    for row in reduce(span_extend, aug, ()):
-        p = _pivot(row)
-        if p == n:
-            return None  # pivot in the constant column: inconsistent
-        sol[p] = Fraction(row[n], row[p])
-    return sol
+    basis = reduce(span_extend, aug, ())
+    pivots = [_pivot(row) for row in basis]
+    if n in pivots:
+        return None  # pivot in the constant column: inconsistent
+    # each basis row is a row of the RREF of [A | b] times its pivot entry,
+    # so x_p = row[n] / row[p]: den is the lcm of the pivot entries
+    den = lcm(1, *(row[p] for row, p in zip(basis, pivots)))
+    nums = [0] * n
+    for row, p in zip(basis, pivots):
+        nums[p] = row[n] * (den // row[p])
+    return den, tuple(nums)

@@ -5,8 +5,10 @@ and re-solves every flat's perturbed hull conv{0, w_i} + eps0*chi with
 exhaustive support enumeration and a global minimum: exact arithmetic
 throughout, no early exit, and no use of the cone projection it checks.
 Each solve builds one integer Gram table of its vertices and reads every
-support's system off it.  With the certificate path it shares the flats
-and the elimination kernel (``matrix_rank``, ``solve_exact``) only.
+support's system off it: one ``matrix_rank`` call bounds the supports by
+the affine rank of the vertices, and each support is one ``solve_exact``
+on its Gram minor.  With the certificate path it shares the flats and the
+elimination kernel only.
 The closest point must equal eps0*v for the certified direction v.  This
 per-flat equality is the whole comparison: the strata are the Weyl classes
 of the directions of these same flats, so a set-level re-check could only
@@ -58,14 +60,18 @@ def numeric_min_norm(
 ) -> Vector:
     """Exact minimum-norm point of conv(vertices) by full support enumeration.
 
-    Every affinely independent support is solved; feasible candidates are
-    compared and the global q-norm minimum returned.  Deliberately no
-    early exit: this is the independent check of the certificate path.
-    The vertices and the form are cleared to integers once, which scales
-    every norm by one positive constant, and their Gram table
-    G[i][j] = Q(V_i, V_j) is built once: each support's system is read off
-    G, and its point, with barycentric weights lam/den, is compared by
-    lam^T G lam / den^2 in integers.
+    Every support of at most r + 1 vertices is solved, r the affine rank of
+    the vertices; feasible candidates are compared and the global q-norm
+    minimum returned.  Deliberately no early exit: this is the independent
+    check of the certificate path.  The vertices and the form are cleared
+    to integers once, which scales every norm by one positive constant,
+    and their Gram table G[i][j] = Q(V_i, V_j) is built once: each
+    support's normal equations are read off G and solved alone, and its
+    point, with barycentric weights lam/den, is compared by
+    lam^T G lam / den^2 in integers.  On a dependent support a solution
+    (free variables 0) is still the closest point of its affine hull, and
+    the closest point of conv(vertices) is unique and solves some
+    independent support, so such candidates leave the minimum unchanged.
     """
     if len(vertices) > cap:
         raise CapExceeded(f"{len(vertices)} vertices exceed the cap of {cap}")
@@ -74,21 +80,21 @@ def numeric_min_norm(
     form = clear_denominators(q.rows)[1]
     covectors = [tuple(dot(row, p) for row in form) for p in pts]
     g = [[dot(c, p) for p in pts] for c in covectors]
+    # an affinely independent support has at most (affine rank) + 1 points
+    affine_rank = matrix_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]])
     best, best_norm, best_den = None, 0, 1
-    for size in range(1, min(len(pts), dim + 1) + 1):
+    for size in range(1, affine_rank + 2):
         for support in combinations(range(len(pts)), size):
             i, *rest = support
             den, lam = 1, [1]
             if rest:
-                if matrix_rank([tuple(a - b for a, b in zip(pts[j], pts[i])) for j in rest]) != len(rest):
-                    continue
                 # Q(V_a - V_i, V_b - V_i) x_b = -Q(V_i, V_a - V_i), each read off G
                 gi = g[i]
                 minor = [[g[a][b] - g[a][i] - gi[b] + gi[i] for b in rest] for a in rest]
                 sol = solve_exact(minor, [gi[i] - gi[a] for a in rest])
                 if sol is None:
                     continue
-                den, (nums,) = clear_denominators([sol])
+                den, nums = sol
                 if any(n < 0 for n in nums) or sum(nums) > den:
                     continue
                 lam = [den - sum(nums), *nums]

@@ -165,6 +165,8 @@ def enumerate_kn(
     q = group.form
     semistable = False
     found: dict[Vector, KNStratum] = {}
+    # a direction seen before has its Weyl key in found already
+    seen: set[Vector] = set()
     # each weight's first position: later positions are overwritten
     first = {w: i for i, w in reversed(tuple(enumerate(weights)))}
     for table, proj in span_candidates(ws, chi, group, cap):
@@ -172,6 +174,9 @@ def enumerate_kn(
         if is_zero_vector(v):
             semistable = True
             continue
+        if v in seen:
+            continue
+        seen.add(v)
         beta_neg = primitive_rescale(vec_neg(v))
         key = weyl_canonicalize(beta_neg, group)
         if key in found:

@@ -8,7 +8,7 @@ import pytest
 from knx.cli import main
 from knx.scalars import GramForm
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, GOLDEN_FILES
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -58,6 +58,13 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", GOLDEN_DIR / "proj_n1.json")
     assert code == 0
     assert "all subsets agree" in out
+
+
+@pytest.mark.parametrize("problem", GOLDEN_FILES, ids=lambda p: p.stem)
+def test_oracle_agrees_on_every_golden_problem(capsys, problem):
+    code, out, _ = run(capsys, "oracle", problem, "--samples", "0")
+    assert code == 0
+    assert out.startswith("oracle cross-check: all subsets agree")
 
 
 def test_negative_eps_den_is_a_usage_error(capsys):
@@ -299,6 +306,27 @@ def test_non_invariant_chi_rejected(tmp_path, capsys):
     bad.write_text(json.dumps(problem))
     code, _, err = run(capsys, "strata", bad)
     assert code == 2 and "chi length does not match rank" in err
+
+
+def test_weights_that_are_not_weyl_stable_rejected(tmp_path, capsys):
+    # the strata are Weyl classes, which needs the Weyl group to permute
+    # the weights; e_1 alone is moved off the set by the reflection s_1
+    problem = {
+        "knx_version": 1,
+        "group": {"type": "gl", "n": 3},
+        "weights": [["1", "0", "0"]],
+        "chi": ["1", "1", "1"],
+    }
+    bad = tmp_path / "e1.json"
+    bad.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "strata", bad)
+    assert code == 2 and out == ""
+    assert "the reflection in the simple root ('1', '-1', '0') does not permute the weights" in err
+    # the whole orbit e_1, e_2, e_3 is accepted
+    problem["weights"] += [["0", "1", "0"], ["0", "0", "1"]]
+    bad.write_text(json.dumps(problem))
+    code, _, _ = run(capsys, "strata", bad)
+    assert code == 0
 
 
 def test_rank_claims_checked_before_the_group_is_built(tmp_path, capsys):

@@ -167,7 +167,7 @@ def test_both_orientation_checks_both_signs():
 def test_mode_guards():
     raw_nonabelian = ExactnessProblem(
         group=gl(2),
-        weights=weight_system([["1", "0"]], "raw"),
+        weights=weight_system([["1", "0"], ["0", "1"]], "raw"),
         chi=TorusCharacter(vector(["1", "1"])),
         c=LieCharacter(vector(["0", "0"])),
     )

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -13,6 +14,7 @@ from knx.groups import (
     sl,
     torus,
     validate_lie_character,
+    validate_weyl_stable,
     weyl_canonicalize,
 )
 from knx.scalars import vector
@@ -107,3 +109,42 @@ def test_custom_group_validation():
     # simple root must be a root
     with pytest.raises(InvalidParameter):
         group_data(2, [["1", "-1"], ["-1", "1"]], [["1", "0"]])
+
+
+def is_weyl_stable(weights, group):
+    try:
+        validate_weyl_stable([vector(w) for w in weights], group)
+    except InvalidParameter:
+        return False
+    return True
+
+
+def test_weyl_stability_matches_permutation_invariance_on_gl3():
+    # the Weyl group of gl(3) is S_3 permuting coordinates: the multiset is
+    # stable exactly when every permutation maps it onto itself
+    rng = random.Random(5)
+    g = gl(3)
+    for _ in range(300):
+        ws = [tuple(rng.randint(-1, 1) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # close it up to whole orbits, repeats kept
+            ws = [tuple(w[i] for i in perm) for w in ws for perm in permutations(range(3))]
+        counts = Counter(ws)
+        stable = all(Counter(tuple(w[i] for i in perm) for w in ws) == counts
+                     for perm in permutations(range(3)))
+        assert is_weyl_stable(ws, g) == stable, ws
+
+
+def test_weyl_stability_under_a_weighted_form_and_fractions():
+    # B2: simple roots e1 - e2 (long) and e2 (short), the reflection in e2
+    # negates the second coordinate
+    b2 = group_data(2, [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"],
+                        ["1", "-1"], ["-1", "1"]], [["1", "-1"], ["0", "1"]])
+    assert is_weyl_stable([["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]], b2)
+    assert not is_weyl_stable([["1", "0"], ["0", "1"]], b2)
+    # rank 2 with the root e1 under the form diag(2, 1): s(x, y) = (-x, y)
+    g = group_data(2, [["1", "0"], ["-1", "0"]], [["1", "0"]], [["2", "0"], ["0", "1"]])
+    assert is_weyl_stable([["1/2", "1"], ["-1/2", "1"], ["0", "3"]], g)
+    assert not is_weyl_stable([["1/2", "1"]], g)
+    # multiplicities count
+    assert not is_weyl_stable([["1", "0"], ["1", "0"], ["-1", "0"]], g)
+    assert is_weyl_stable([["5", "-7"]], torus(2))

@@ -1,5 +1,8 @@
 """``matrix_rank`` and ``solve_exact`` against a Fraction Gauss-Jordan reference.
 
+``solve_exact`` answers in integers, x = nums/den with den > 0, and the
+comparison converts that answer to Fractions.
+
 The reference below is plain Gauss-Jordan elimination over Fraction, kept
 here so that it stays independent of the integer kernel under test; the
 reference cone projection in ``test_integer_kernel`` solves with it too.
@@ -90,19 +93,28 @@ def _systems(draw):
 def test_rank_and_solve_match_the_fraction_reference(system):
     rows, rhs = system
     assert matrix_rank(rows) == ref_rank(rows)
-    got = solve_exact(rows, rhs)
-    assert got == ref_solve(rows, rhs)
-    if got is not None:
-        assert all(type(x) is F for x in got)
-        assert [sum(a * x for a, x in zip(row, got)) for row in rows] == rhs
+    got, ref = solve_exact(rows, rhs), ref_solve(rows, rhs)
+    if ref is None:
+        assert got is None
+        return
+    den, nums = got
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    x = [F(n, den) for n in nums]
+    assert x == ref
+    assert [sum(a * xj for a, xj in zip(row, x)) for row in rows] == rhs
 
 
-def test_integer_entries_give_fraction_solutions():
-    assert solve_exact([[2, 1], [1, 1]], [3, 2]) == [F(1), F(1)]
-    assert solve_exact([[2, 0], [0, 3]], [1, 1]) == [F(1, 2), F(1, 3)]
+def test_solutions_are_integers_over_one_positive_denominator():
+    assert solve_exact([[2, 1], [1, 1]], [3, 2]) == (1, (1, 1))
+    # x = (1/2, 1/3): den is the lcm of the pivots 2 and 3
+    assert solve_exact([[2, 0], [0, 3]], [1, 1]) == (6, (3, 2))
+    assert solve_exact([[F(-1, 2), 0], [0, F(1, 3)]], [1, 1]) == (1, (-2, 3))
     assert solve_exact([[1, 1], [2, 2]], [1, 3]) is None
-    # x2 is free and set to 0
-    assert solve_exact([[1, 1], [2, 2]], [1, 2]) == [F(1), F(0)]
-    assert all(type(x) is F for x in solve_exact([[4, 2]], [6]))
+    assert solve_exact([[0, 0]], [1]) is None
+    # x2 is free and set to 0, also on a singular square system
+    assert solve_exact([[1, 1], [2, 2]], [1, 2]) == (1, (1, 0))
+    assert solve_exact([[0, 2, 4], [0, 1, 2]], [2, 1]) == (1, (0, 1, 0))
+    assert solve_exact([], []) == (1, ())
     assert matrix_rank([[1, 2, 3], [2, 4, 6], [0, 0, 0]]) == 1
     assert matrix_rank([[0, 1], [1, 0]]) == 2

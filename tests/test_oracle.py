@@ -65,8 +65,11 @@ def reference_min_norm(vertices, q):
             candidate = pts[0]
             if diffs:
                 gram = [[q.apply(a, b) for b in diffs] for a in diffs]
-                sol = solve_exact(gram, [-q.apply(pts[0], d) for d in diffs])
-                if sol is None or any(s < 0 for s in sol) or sum(sol) > 1:
+                exact = solve_exact(gram, [-q.apply(pts[0], d) for d in diffs])
+                if exact is None:
+                    continue
+                sol = [F(n, exact[0]) for n in exact[1]]
+                if any(s < 0 for s in sol) or sum(sol) > 1:
                     continue
                 for s, d in zip(sol, diffs):
                     candidate = vec_add(candidate, vec_scale(s, d))
@@ -107,6 +110,14 @@ def hull_problems(draw):
 @example(([vector(["1", "1"])] * 3 + [vector(["2", "2"]), vector(["3", "3"])], GramForm.identity(2)))
 @example(([vector(["1", "0", "1"]), vector(["0", "1", "1"]), vector(["1", "1", "1"]),
            vector(["2", "-1", "1"])], GramForm.identity(3)))
+# rank-deficient in dim 3, so the supports stop below dim + 1 points: four
+# points on a line (affine rank 1) and five in the plane x + y + z = 1
+# (affine rank 2), each with its closest point inside the hull
+@example(([vector(["2", "0", "1"]), vector(["1", "1", "1"]), vector(["3", "-1", "1"]),
+           vector(["0", "2", "1"])], GramForm.identity(3)))
+@example(([vector(["1", "0", "0"]), vector(["0", "1", "0"]), vector(["0", "0", "1"]),
+           vector(["1", "1", "-1"]), vector(["2", "-1", "0"])],
+          GramForm.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])))
 def test_numeric_min_norm_matches_the_fraction_search(problem):
     vertices, q = problem
     got = numeric_min_norm(vertices, q)
