@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -89,9 +88,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cap = args.max_weights if args.max_weights is not None else DEFAULT_VERTEX_CAP
     try:
-        problem = load_problem(args.file, cap)
-        if args.orientation is not None:
-            problem = replace(problem, orientation=args.orientation)
+        problem = load_problem(args.file, cap, args.orientation)
 
         if args.command == "strata":
             result = enumerate_kn(

@@ -1,8 +1,9 @@
-"""Small exact linear algebra on one integer kernel: canonical span bases.
+"""Small exact linear algebra on integers: canonical span bases and a
+square fraction-free solve.
 
-Matrices are lists of rows with Fraction or int entries.  Every
-elimination clears the rows to integers with one common denominator
-(``clear_denominators``) and builds the canonical basis of their span:
+Matrices are lists of rows with Fraction or int entries.  ``matrix_rank``
+and the span walk clear the rows to integers with one common denominator
+(``clear_denominators``) and build the canonical basis of their span:
 each basis row is the primitive integer multiple, with positive pivot, of
 the matching row of the reduced row echelon form, so the rows are zero in
 every other row's pivot column and the basis is its own hashable key.
@@ -10,14 +11,16 @@ every other row's pivot column and the basis is its own hashable key.
 multiplies by the pivot instead of dividing by it, and one gcd at the end
 keeps the entries small.
 
-The span walk of the strata path extends bases directly.  ``matrix_rank``
-is the size of the basis of the rows, and ``solve_exact`` reads
-x = nums/den off the basis of the augmented rows [A | b] and returns the
-integers (den, nums).  The passive solves of the cone projection call
-``solve_exact``, and each defining support makes one ``matrix_rank`` call
-to re-check its independence.  The oracle makes one ``matrix_rank`` call
+The span walk of the strata path extends bases directly, and
+``matrix_rank`` is the size of the basis of the rows.  ``solve_exact``
+takes only square integer systems: a Bareiss elimination with row
+pivoting, then back substitution to the integers det(A) * x, returned as
+(den, nums) in lowest terms, or None when the matrix is singular.  The
+passive solves of the cone projection call ``solve_exact`` on the integer
+Gram table, and each defining support makes one ``matrix_rank`` call to
+re-check its independence.  The oracle makes one ``matrix_rank`` call
 per closest-point search, for the affine rank of its vertices, and one
-``solve_exact`` per support.  Sizes in this
+``solve_exact`` per support, on its integer Gram minor.  Sizes in this
 package stay in the single digits, so straightforward elimination is both
 fast enough and easy to audit.
 """
@@ -118,21 +121,39 @@ def _pivot(row: Sequence) -> int | None:
     return None
 
 
-def solve_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[int, IntVector] | None:
-    """Solve A x = b exactly as x = nums/den with den > 0; None if
-    inconsistent, free variables set to 0."""
-    n = len(rows[0]) if rows else 0
-    aug = clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])[1]
-    basis = reduce(span_extend, aug, ())
-    pivots = [_pivot(row) for row in basis]
-    if n in pivots:
-        return None  # pivot in the constant column: inconsistent
-    # each basis row is a row of the RREF of [A | b] times its pivot entry,
-    # so x_p = row[n] / row[p]: den is the lcm of the pivot entries
-    den = lcm(1, *(row[p] for row, p in zip(basis, pivots)))
+def solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, IntVector] | None:
+    """Solve the square integer system A x = b as x = nums/den, with den > 0
+    and gcd(den, *nums) = 1; None when A is singular.
+
+    Fraction-free elimination (Bareiss 1968): a row step multiplies by the
+    pivot and divides exactly by the previous one, so every entry stays an
+    integer minor and the last pivot is det A up to sign.  Back
+    substitution then gives the integers det(A) * x (Cramer's rule).  The
+    content of A is divided out first: the oracle's Gram minors carry the
+    square of their vertices' clearing scale, which the minors would
+    otherwise raise to the k-th power.
+    """
+    n = len(rows)
+    # A = c A' for the content c of A: x = x'/c with A' x' = b
+    c = gcd(*(a for row in rows for a in row)) or 1
+    m = [[*(a // c for a in row), b] for row, b in zip(rows, rhs)]
+    det = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        d = pivot_row[k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(d * a - f * b) // det for a, b in zip(m[i], pivot_row)]
+        det = d
     nums = [0] * n
-    for row, p in zip(basis, pivots):
-        nums[p] = row[n] * (den // row[p])
-    return den, tuple(nums)
+    for i in reversed(range(n)):
+        row = m[i]
+        nums[i] = (det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))) // row[i]
+    g = gcd(det * c, *nums)
+    if det < 0:
+        g = -g
+    return det * c // g, tuple(x // g for x in nums)

@@ -6,9 +6,10 @@ exhaustive support enumeration and a global minimum: exact arithmetic
 throughout, no early exit, and no use of the cone projection it checks.
 Each solve builds one integer Gram table of its vertices and reads every
 support's system off it: one ``matrix_rank`` call bounds the supports by
-the affine rank of the vertices, and each support is one ``solve_exact``
-on its Gram minor.  With the certificate path it shares the flats and the
-elimination kernel only.
+the affine rank of the vertices, and each support is one square
+``solve_exact`` on its Gram minor.  A singular minor is an affinely
+dependent support, and it is skipped.  With the certificate path it
+shares the flats and the elimination kernel only.
 The closest point must equal eps0*v for the certified direction v.  This
 per-flat equality is the whole comparison: the strata are the Weyl classes
 of the directions of these same flats, so a set-level re-check could only
@@ -68,10 +69,10 @@ def numeric_min_norm(
     and their Gram table G[i][j] = Q(V_i, V_j) is built once: each
     support's normal equations are read off G and solved alone, and its
     point, with barycentric weights lam/den, is compared by
-    lam^T G lam / den^2 in integers.  On a dependent support a solution
-    (free variables 0) is still the closest point of its affine hull, and
-    the closest point of conv(vertices) is unique and solves some
-    independent support, so such candidates leave the minimum unchanged.
+    lam^T G lam / den^2 in integers.  With q positive definite a minor is
+    singular exactly when its support is affinely dependent; such a support
+    is skipped, since the closest point of conv(vertices) is unique and is
+    the closest point of the affine hull of some independent support.
     """
     if len(vertices) > cap:
         raise CapExceeded(f"{len(vertices)} vertices exceed the cap of {cap}")
@@ -126,20 +127,26 @@ def cross_check_enumeration(
     mismatches: list[str] = []
     count = 0
     symbolic_directions: set[Vector] = set()
-    zero = vec_zero(ws.rank)
+    # per eps0: the shifted origin eps0*chi and each table weight plus
+    # eps0*chi, built at the first flat, since the table is shared by all
+    shifted = None
     for table, proj in span_candidates(ws, chi, group, cap):
         count += 1
         v = proj.direction
         if not is_zero_vector(v):
             symbolic_directions.add(primitive_rescale(vec_neg(v)))
-        vertices = [zero] + [table.weights[i] for i in proj.members]
-        for eps0 in config.epsilon_values:
-            concrete = [vec_add(w, vec_scale(eps0, chi.vec)) for w in vertices]
+        if shifted is None:
+            shifted = []
+            for eps0 in config.epsilon_values:
+                origin = vec_scale(eps0, chi.vec)
+                shifted.append((eps0, origin, [vec_add(w, origin) for w in table.weights]))
+        for eps0, origin, weights in shifted:
+            concrete = [origin] + [weights[i] for i in proj.members]
             numeric = numeric_min_norm(concrete, group.form, cap)
             symbolic_at_eps = vec_scale(eps0, v)
             if numeric != symbolic_at_eps:
                 mismatches.append(
-                    f"subset of size {len(vertices)} disagrees at eps={eps0}: "
+                    f"subset of size {len(concrete)} disagrees at eps={eps0}: "
                     f"{numeric} != {symbolic_at_eps}"
                 )
     return OracleReport(

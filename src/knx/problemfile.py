@@ -40,7 +40,10 @@ _TOP_KEYS = {
 }
 
 
-def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem:
+def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP,
+                  orientation: str | None = None) -> ExactnessProblem:
+    """The problem of a parsed file; ``orientation``, when given, replaces
+    the file's (which is still checked)."""
     if not isinstance(data, dict):
         raise SchemaError("problem file must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -56,9 +59,9 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem
         weights = _parse_weights(data["weights"], data.get("mode", "cotangent"))
         chi = TorusCharacter(_parse_vector(data["chi"], "chi"))
         c = _parse_character(data.get("c"))
-        orientation = data.get("orientation", "negative")
-        if orientation not in ORIENTATIONS:
-            raise SchemaError(f"unknown orientation {orientation!r}")
+        file_orientation = data.get("orientation", "negative")
+        if file_orientation not in ORIENTATIONS:
+            raise SchemaError(f"unknown orientation {file_orientation!r}")
         strictness = data.get("strictness", "slice")
         if strictness not in ("slice", "full_V"):
             raise SchemaError(f"unknown strictness {strictness!r}")
@@ -73,7 +76,7 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem
             weights=weights,
             chi=chi,
             c=c,
-            orientation=orientation,
+            orientation=file_orientation if orientation is None else orientation,
             dropped_strata=dropped,
             strictness=strictness,
             cap=cap,
@@ -201,10 +204,11 @@ def _require_positive_int(value, what: str) -> int:
     return value
 
 
-def load_problem(path: str, cap: int = DEFAULT_VERTEX_CAP) -> ExactnessProblem:
+def load_problem(path: str, cap: int = DEFAULT_VERTEX_CAP,
+                 orientation: str | None = None) -> ExactnessProblem:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    return parse_problem(data, cap)
+    return parse_problem(data, cap, orientation)

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import knx.engine
 from knx.cli import main
+from knx.groups import validate_weyl_stable
 from knx.scalars import GramForm
 
 from conftest import GOLDEN_DIR, GOLDEN_FILES
@@ -217,6 +219,21 @@ def test_orientation_flag_overrides(capsys):
     )
     assert code == 0
     assert "beta=(1)" in out
+
+
+def test_orientation_flag_validates_the_problem_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_weyl_stable(*args)
+
+    monkeypatch.setattr(knx.engine, "validate_weyl_stable", counted)
+    code, out, _ = run(
+        capsys, "strata", GOLDEN_DIR / "cherednik_n3.json", "--orientation", "positive"
+    )
+    assert code == 0 and "positive orientation" in out
+    assert len(calls) == 1
 
 
 def test_missing_file(capsys):

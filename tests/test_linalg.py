@@ -1,7 +1,9 @@
 """``matrix_rank`` and ``solve_exact`` against a Fraction Gauss-Jordan reference.
 
-``solve_exact`` answers in integers, x = nums/den with den > 0, and the
-comparison converts that answer to Fractions.
+``matrix_rank`` takes any rows of Fractions or ints.  ``solve_exact`` takes
+square integer systems only and answers in integers: x = nums/den with
+den > 0 and gcd(den, *nums) = 1, or None exactly when the matrix is
+singular.  The comparison converts that answer to Fractions.
 
 The reference below is plain Gauss-Jordan elimination over Fraction, kept
 here so that it stays independent of the integer kernel under test; the
@@ -9,6 +11,7 @@ reference cone projection in ``test_integer_kernel`` solves with it too.
 """
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,12 +62,13 @@ _rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
-def _systems(draw):
-    # up to 5x6, each row free, a rational combination of the rows above
-    # it, or zero; the right-hand side is either A x0 for a random x0
-    # (consistent, with free variables when the rank is short) or random
-    # (mostly inconsistent when the rows are dependent)
-    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+def _systems(draw, square=False):
+    # up to 5x6 (5x5 when square), each row free, a rational combination
+    # of the rows above it, or zero; the right-hand side is either A x0 for
+    # a random x0 (consistent, with free variables when the rank is short)
+    # or random (mostly inconsistent when the rows are dependent)
+    m = draw(st.integers(0, 5))
+    n = m if square else draw(st.integers(1, 6))
     rows = []
     for _ in range(m):
         kind = draw(st.sampled_from(["free", "combination", "zero"]))
@@ -87,34 +91,66 @@ def _systems(draw):
 @given(_systems())
 @example(([], []))
 @example(([[F(0), F(0)]], [F(0)]))
-@example(([[F(0), F(0)]], [F(1)]))
 @example(([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(3)]))
-@example(([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(2)]))
-def test_rank_and_solve_match_the_fraction_reference(system):
-    rows, rhs = system
+def test_rank_matches_the_fraction_reference(system):
+    rows, _ = system
     assert matrix_rank(rows) == ref_rank(rows)
-    got, ref = solve_exact(rows, rhs), ref_solve(rows, rhs)
-    if ref is None:
+
+
+def _cleared(system):
+    # one common factor of every row and the right-hand side clears them
+    # to integers and leaves the solution unchanged
+    rows, rhs = system
+    d = lcm(1, *(x.denominator for x in [*rhs, *(a for row in rows for a in row)]))
+    return [[int(a * d) for a in row] for row in rows], [int(b * d) for b in rhs]
+
+
+def _check_solve(rows, rhs):
+    got = solve_exact(rows, rhs)
+    if ref_rank(rows) < len(rows):
         assert got is None
         return
     den, nums = got
     assert type(den) is int and den > 0
     assert all(type(n) is int for n in nums)
+    assert gcd(den, *nums) == 1
     x = [F(n, den) for n in nums]
-    assert x == ref
+    assert x == ref_solve(rows, rhs)
     assert [sum(a * xj for a, xj in zip(row, x)) for row in rows] == rhs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_systems(square=True).map(_cleared))
+@example(([], []))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([[1, 2], [2, 4]], [1, 2]))
+@example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 2, 3]))
+def test_square_solve_matches_the_fraction_reference(system):
+    _check_solve(*system)
 
 
 def test_solutions_are_integers_over_one_positive_denominator():
     assert solve_exact([[2, 1], [1, 1]], [3, 2]) == (1, (1, 1))
-    # x = (1/2, 1/3): den is the lcm of the pivots 2 and 3
+    # x = (1/2, 1/3), in lowest terms over one denominator
     assert solve_exact([[2, 0], [0, 3]], [1, 1]) == (6, (3, 2))
-    assert solve_exact([[F(-1, 2), 0], [0, F(1, 3)]], [1, 1]) == (1, (-2, 3))
+    assert solve_exact([[4, 0], [0, 2]], [2, 1]) == (2, (1, 1))
+    # a zero leading entry needs a row swap
+    assert solve_exact([[0, 1], [1, 0]], [5, 7]) == (1, (7, 5))
+    # det = -2: den stays positive, x = (-2, 3/2)
+    assert solve_exact([[1, 2], [3, 4]], [1, 0]) == (2, (-4, 3))
+    # singular, consistent or not
+    assert solve_exact([[1, 1], [2, 2]], [1, 2]) is None
     assert solve_exact([[1, 1], [2, 2]], [1, 3]) is None
-    assert solve_exact([[0, 0]], [1]) is None
-    # x2 is free and set to 0, also on a singular square system
-    assert solve_exact([[1, 1], [2, 2]], [1, 2]) == (1, (1, 0))
-    assert solve_exact([[0, 2, 4], [0, 1, 2]], [2, 1]) == (1, (0, 1, 0))
+    assert solve_exact([[0]], [0]) is None
     assert solve_exact([], []) == (1, ())
     assert matrix_rank([[1, 2, 3], [2, 4, 6], [0, 0, 0]]) == 1
     assert matrix_rank([[0, 1], [1, 0]]) == 2
+
+
+def test_entries_near_two_to_the_thousand():
+    big = 2**1000
+    _check_solve([[big, 1], [1, big + 1]], [big - 1, 3])
+    _check_solve([[0, big, 3], [big + 7, -1, 0], [2, 5, -big]], [1, -big, big**2])
+    assert solve_exact([[big, big + 1], [2 * big, 2 * big + 2]], [1, 2]) is None
+    den, nums = solve_exact([[big]], [1])
+    assert (den, nums) == (big, (1,))

@@ -20,9 +20,9 @@ from knx.oracle import (
 )
 from knx.engine import cherednik_preset
 from knx.groups import weyl_canonicalize
-from knx.linalg import matrix_rank, solve_exact
 from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vector
 from knx.strata import enumerate_kn, weight_system
+from test_linalg import ref_rank, ref_solve
 
 Q1 = GramForm.identity(1)
 Q2 = GramForm.identity(2)
@@ -52,23 +52,22 @@ def test_numeric_min_norm_cotangent_pair_is_semistable():
 
 
 def reference_min_norm(vertices, q):
-    # the same exhaustive search on Fractions: each support's minor is
-    # paired with q.apply and each candidate compared by its q-norm
+    # the same exhaustive search on Fractions, independent of the integer
+    # kernel: each support is rank-checked and its minor, paired with
+    # q.apply, solved by the Gauss-Jordan reference, and each candidate is
+    # compared by its q-norm
     dim = len(vertices[0])
     best, best_norm = None, None
     for size in range(1, min(len(vertices), dim + 1) + 1):
         for support in combinations(range(len(vertices)), size):
             pts = [vertices[i] for i in support]
             diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
-            if diffs and matrix_rank(diffs) != len(diffs):
+            if diffs and ref_rank(diffs) != len(diffs):
                 continue
             candidate = pts[0]
             if diffs:
                 gram = [[q.apply(a, b) for b in diffs] for a in diffs]
-                exact = solve_exact(gram, [-q.apply(pts[0], d) for d in diffs])
-                if exact is None:
-                    continue
-                sol = [F(n, exact[0]) for n in exact[1]]
+                sol = ref_solve(gram, [-q.apply(pts[0], d) for d in diffs])
                 if any(s < 0 for s in sol) or sum(sol) > 1:
                     continue
                 for s, d in zip(sol, diffs):
