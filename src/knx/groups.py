@@ -1,9 +1,9 @@
 """Reductive group presets and custom root data.
 
 A group is stored as torus data only: rank, the nonzero weights of the
-adjoint action (roots), generating reflections, and the invariant pairing
-form.  Weyl groups are never materialized; canonicalization only needs
-the reflection action.
+adjoint action (roots), a base of them (simple roots) and the invariant
+form Q.  The Weyl group is never materialized: every use of it reflects
+integer vectors in the simple roots, at most |roots| times to canonicalize.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import InternalInconsistency, InvalidParameter, ZeroVector
-from .linalg import clear_denominators, dot
-from .scalars import GramForm, Vector, vec_scale, vec_sub, vector
-
-_CANONICALIZE_ITER_CAP = 100_000
+from .linalg import IntVector, clear_denominators, dot, solve_exact
+from .scalars import GramForm, Vector, vector
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,23 @@ class GroupData:
     def _sparse_roots(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """The nonzero (i, r_i) of each root: a gl(n) root has two of n."""
         return tuple(tuple((i, x) for i, x in enumerate(r) if x) for r in self.roots)
+
+    @cached_property
+    def reflections(self) -> tuple[tuple[IntVector, IntVector, int], ...]:
+        """(S, Q S, Q(S, S)) per simple root S, with S and Q S over one denominator."""
+        pairs = (clear_denominators([s, self.form.covector(s)])[1] for s in self.simple_roots)
+        return tuple((s, qs, dot(s, qs)) for s, qs in pairs)
+
+
+def _reflect(w: Sequence[int], p: int, s: IntVector, qss: int) -> IntVector:
+    """Q(S, S) times the reflection of w in S, for p = Q(w, S) on the table's scale."""
+    return tuple(qss * a - 2 * p * b for a, b in zip(w, s))
+
+
+def _permutes(vectors: Sequence[IntVector], s: IntVector, qs: IntVector, qss: int) -> bool:
+    moved = [(w, p) for w in vectors if (p := dot(w, qs))]  # Q(W, S) = 0: W is fixed
+    scaled = Counter(tuple(qss * a for a in w) for w, _ in moved)
+    return scaled == Counter(_reflect(w, p, s, qss) for w, p in moved)
 
 
 def root_pairings(vec: Vector, group: GroupData) -> Iterator[Fraction]:
@@ -58,7 +73,8 @@ def group_data(
 
     The form rows are checked for symmetry and positive definiteness; a
     reflection in a root is then a q-isometry, so only the root system's
-    closure under the simple reflections needs checking.
+    closure under the simple reflections needs checking.  The simple roots
+    must be a base of the roots.
     """
     if rank < 1:
         raise InvalidParameter("rank must be >= 1")
@@ -76,19 +92,35 @@ def group_data(
     for r in root_vecs:
         if tuple(-x for x in r) not in root_set:
             raise InvalidParameter(f"roots not closed under negation: {r}")
-    for s in simple_vecs:
+    group = GroupData(rank, root_vecs, simple_vecs, q, label)
+    distinct = clear_denominators(list(root_set))[1]
+    for s, reflection in zip(simple_vecs, group.reflections):
         if s not in root_set:
             raise InvalidParameter("every simple root must be a root")
-        for r in root_vecs:
-            if reflect(r, s, q) not in root_set:
-                raise InvalidParameter("a simple reflection does not preserve the roots")
-    return GroupData(rank, root_vecs, simple_vecs, q, label)
+        if not _permutes(distinct, *reflection):
+            raise InvalidParameter("a simple reflection does not preserve the roots")
+    _require_base(group)
+    return group
 
 
-def reflect(v: Vector, root: Vector, q: GramForm) -> Vector:
-    """v  ->  v - 2 q(v,root)/q(root,root) * root."""
-    c = 2 * q.apply(v, root) / q.apply(root, root)
-    return vec_sub(v, vec_scale(c, root))
+def _require_base(group: GroupData) -> None:
+    """The simple roots S must be linearly independent and each root a
+    combination of them with coefficients all >= 0 or all <= 0.  The
+    coefficients c of a root r solve (S S^T) c = S r, singular exactly when
+    S is dependent."""
+    simple = clear_denominators(group.simple_roots)[1]
+    gram = [[dot(a, b) for b in simple] for a in simple]
+    for root, r in zip(group.roots, clear_denominators(group.roots)[1]):
+        solution = solve_exact(gram, [dot(s, r) for s in simple])
+        if solution is None:
+            raise InvalidParameter("the simple roots are linearly dependent")
+        den, c = solution
+        combination = [sum(x * s[j] for x, s in zip(c, simple)) for j in range(group.rank)]
+        if combination != [den * a for a in r] or min(c) < 0 < max(c):
+            raise InvalidParameter(
+                f"the root {tuple(map(str, root))} is not a nonnegative or nonpositive "
+                "combination of the simple roots"
+            )
 
 
 def torus(rank: int) -> GroupData:
@@ -155,18 +187,18 @@ def weyl_canonicalize(v: Vector, group: GroupData) -> Vector:
 
     Repeatedly applies any simple reflection whose root pairs negatively
     with v; for gl(n) this sorts the coordinates in nonincreasing order.
+    Reflects the integers den * v, one gcd per step, at most |roots| times.
     """
-    q = group.form
-    current = v
-    for _ in range(_CANONICALIZE_ITER_CAP):
-        moved = False
-        for s in group.simple_roots:
-            if q.apply(current, s) < 0:
-                current = reflect(current, s, q)
-                moved = True
+    den, (current,) = clear_denominators([v])
+    for _ in range(len(group.roots) + 1):
+        for s, qs, qss in group.reflections:
+            if (p := dot(current, qs)) < 0:
+                current = _reflect(current, p, s, qss)
+                g = gcd(den * qss, *current)
+                den, current = den * qss // g, tuple(a // g for a in current)
                 break
-        if not moved:
-            return current
+        else:
+            return tuple(Fraction(a, den) for a in current)
     raise InternalInconsistency("Weyl canonicalization did not terminate")
 
 
@@ -214,18 +246,9 @@ def validate_weyl_stable(weights: Sequence[Vector], group: GroupData) -> None:
     """Every simple reflection must permute the weight multiset: the strata
     are Weyl classes of flat directions, and v(wF) = w v(F) for the flats F
     and Weyl elements w only if the Weyl group permutes the weights."""
-    if not group.simple_roots:
-        return
-    ints = clear_denominators(weights)[1]
-    for root in group.simple_roots:
-        # S and Q S over one denominator: Q(S, S) times the reflection of W
-        # is Q(S, S) W - 2 Q(W, S) S, and the weights with Q(W, S) = 0 are fixed
-        s, qs = clear_denominators([root, group.form.covector(root)])[1]
-        qss = dot(s, qs)
-        moved = [(w, p) for w in ints if (p := dot(w, qs))]
-        if Counter(tuple(qss * a for a in w) for w, _ in moved) != Counter(
-            tuple(qss * a - 2 * p * b for a, b in zip(w, s)) for w, p in moved
-        ):
+    ints = clear_denominators(weights)[1] if group.simple_roots else ()
+    for root, reflection in zip(group.simple_roots, group.reflections):
+        if not _permutes(ints, *reflection):
             raise InvalidParameter(
                 f"the reflection in the simple root {tuple(map(str, root))} "
                 "does not permute the weights"

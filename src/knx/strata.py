@@ -178,14 +178,12 @@ def enumerate_kn(
             continue
         seen.add(v)
         beta_neg = primitive_rescale(vec_neg(v))
-        key = weyl_canonicalize(beta_neg, group)
-        if key in found:
+        beta_pos = vec_neg(beta_neg)
+        # W acts linearly, so either sign's orbit determines the other's
+        beta = beta_pos if orientation == "positive" else beta_neg
+        dominant = weyl_canonicalize(beta, group)
+        if dominant in found:
             continue
-        beta_pos = primitive_rescale(v)
-        if orientation == "positive":
-            beta, dominant = beta_pos, weyl_canonicalize(beta_pos, group)
-        else:
-            beta, dominant = beta_neg, key
         # Q(W, beta) over the integer table has the sign of q(w, beta); a
         # zero weight is not in the table and pairs to 0
         ints = [x.numerator for x in beta]
@@ -194,7 +192,7 @@ def enumerate_kn(
         for i, w in enumerate(weights):
             s = sign.get(w, 0)
             (plus if s > 0 else zero_idx if s == 0 else minus).append(i)
-        found[key] = KNStratum(
+        found[dominant] = KNStratum(
             direction=v,
             beta_neg=beta_neg,
             beta_pos=beta_pos,

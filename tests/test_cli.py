@@ -301,6 +301,23 @@ def test_invalid_custom_group_rejected(tmp_path, capsys):
     assert code == 2  # roots not closed under negation
 
 
+@pytest.mark.parametrize("simple_roots", [[["1", "-1"], ["-1", "1"]], None])
+def test_simple_roots_that_are_not_a_base_rejected(tmp_path, capsys, simple_roots):
+    # dependent simple roots left canonicalization reflecting back and forth,
+    # and missing ones made the Weyl group trivial: both are schema errors
+    problem = json.loads((GOLDEN_DIR / "cherednik_n2.json").read_text())
+    problem["group"] = {"type": "custom", "rank": 2, "roots": [["1", "-1"], ["-1", "1"]]}
+    if simple_roots is not None:
+        problem["group"]["simple_roots"] = simple_roots
+    bad = tmp_path / "not_a_base.json"
+    bad.write_text(json.dumps(problem))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "forbidden", bad)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "simple roots" in err
+
+
 def test_non_invariant_chi_rejected(tmp_path, capsys):
     problem = {
         "knx_version": 1,

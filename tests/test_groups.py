@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knx.errors import InvalidParameter, ZeroVector
 from knx.groups import (
@@ -17,7 +19,27 @@ from knx.groups import (
     validate_weyl_stable,
     weyl_canonicalize,
 )
-from knx.scalars import vector
+from knx.scalars import vec_scale, vec_sub, vector
+
+# B2: simple roots e1 - e2 (long) and e2 (short), the reflection in e2
+# negates the second coordinate
+B2 = group_data(2, [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"],
+                    ["1", "-1"], ["-1", "1"]], [["1", "-1"], ["0", "1"]])
+# A1 as the root e1 under the form diag(2, 1): s(x, y) = (-x, y)
+A1_DIAG = group_data(2, [["1", "0"], ["-1", "0"]], [["1", "0"]], [["2", "0"], ["0", "1"]])
+
+
+def reference_canonicalize(v, group):
+    """Reflect over Fractions in the first simple root pairing negatively
+    with v until none does."""
+    q = group.form
+    while True:
+        for s in group.simple_roots:
+            if q.apply(v, s) < 0:
+                v = vec_sub(v, vec_scale(2 * q.apply(v, s) / q.apply(s, s), s))
+                break
+        else:
+            return v
 
 
 def test_gl2_preset():
@@ -71,6 +93,25 @@ def test_weyl_canonicalize_is_orbit_constant_and_idempotent():
                 assert weyl_canonicalize(image, g) == dom
 
 
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _groups_and_vectors(draw):
+    group = draw(st.sampled_from([gl(3), B2, A1_DIAG, product([gl(2), B2])]))
+    return group, tuple(draw(st.lists(_fractions, min_size=group.rank, max_size=group.rank)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_groups_and_vectors())
+def test_integer_canonicalization_matches_the_fraction_reflections(case):
+    group, v = case
+    dom = weyl_canonicalize(v, group)
+    assert dom == reference_canonicalize(v, group)
+    assert weyl_canonicalize(dom, group) == dom
+    assert all(group.form.apply(dom, s) >= 0 for s in group.simple_roots)
+
+
 def test_primitive_rescale_examples():
     assert primitive_rescale(vector(["-1/2", "1/2"])) == vector(["-1", "1"])
     assert primitive_rescale(vector(["2", "4"])) == vector(["1", "2"])
@@ -98,7 +139,7 @@ def test_sl_preset_keeps_gl_lattice():
 
 
 def test_custom_group_validation():
-    # fine: the gl(2) data passed explicitly
+    # fine: the gl(2) data passed explicitly (B2 and A1_DIAG above are accepted too)
     group_data(2, [["1", "-1"], ["-1", "1"]], [["1", "-1"]])
     # roots not closed under negation
     with pytest.raises(InvalidParameter):
@@ -109,6 +150,18 @@ def test_custom_group_validation():
     # simple root must be a root
     with pytest.raises(InvalidParameter):
         group_data(2, [["1", "-1"], ["-1", "1"]], [["1", "0"]])
+    # the simple roots must be a base
+    a1 = [["1", "-1"], ["-1", "1"]]
+    with pytest.raises(InvalidParameter, match="linearly dependent"):
+        group_data(2, a1, a1)
+    with pytest.raises(InvalidParameter, match="combination of the simple roots"):
+        group_data(2, a1, [])
+    # the simple roots e1 - e2 and e1 give e2 = e1 - (e1 - e2), of mixed signs
+    with pytest.raises(InvalidParameter, match=r"root \('0', '1'\) is not"):
+        group_data(2, B2.roots, [["1", "-1"], ["1", "0"]])
+    # a base of a product is the union of the factors' bases
+    g = product([gl(2), B2])
+    group_data(4, g.roots, g.simple_roots, g.form.rows)
 
 
 def is_weyl_stable(weights, group):
@@ -135,14 +188,9 @@ def test_weyl_stability_matches_permutation_invariance_on_gl3():
 
 
 def test_weyl_stability_under_a_weighted_form_and_fractions():
-    # B2: simple roots e1 - e2 (long) and e2 (short), the reflection in e2
-    # negates the second coordinate
-    b2 = group_data(2, [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"],
-                        ["1", "-1"], ["-1", "1"]], [["1", "-1"], ["0", "1"]])
-    assert is_weyl_stable([["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]], b2)
-    assert not is_weyl_stable([["1", "0"], ["0", "1"]], b2)
-    # rank 2 with the root e1 under the form diag(2, 1): s(x, y) = (-x, y)
-    g = group_data(2, [["1", "0"], ["-1", "0"]], [["1", "0"]], [["2", "0"], ["0", "1"]])
+    assert is_weyl_stable([["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]], B2)
+    assert not is_weyl_stable([["1", "0"], ["0", "1"]], B2)
+    g = A1_DIAG
     assert is_weyl_stable([["1/2", "1"], ["-1/2", "1"], ["0", "3"]], g)
     assert not is_weyl_stable([["1/2", "1"]], g)
     # multiplicities count

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knx.errors import CapExceeded, InvalidParameter
-from knx.groups import TorusCharacter, gl, group_data, torus
+from knx.groups import TorusCharacter, gl, group_data, torus, weyl_canonicalize
 from knx.oracle import random_problem
 from knx.scalars import vec_scale, vector
 from knx.strata import WeightSystem, enumerate_kn, weight_system
@@ -240,3 +240,26 @@ def test_weight_cap():
     # a generous explicit cap allows it
     r = enumerate_kn(ws, UP, torus(2), cap=64)
     assert r.strata or r.semistable_nonempty
+
+
+@pytest.mark.parametrize("orientation", ["negative", "positive"])
+def test_one_weyl_canonicalization_per_new_direction(monkeypatch, orientation):
+    # either sign's orbit determines the other's, so each distinct nonzero
+    # direction costs one canonicalization, whatever the orientation
+    import knx.strata
+    from knx.engine import cherednik_preset
+    from knx.scalars import is_zero_vector
+    from knx.strata import span_candidates
+
+    p = cherednik_preset(3)
+    directions = {proj.direction for _, proj in span_candidates(p.weights, p.chi, p.group)}
+    calls = []
+
+    def counted(v, group):
+        calls.append(v)
+        return weyl_canonicalize(v, group)
+
+    monkeypatch.setattr(knx.strata, "weyl_canonicalize", counted)
+    result = enumerate_kn(p.weights, p.chi, p.group, orientation)
+    assert len(calls) == len([v for v in directions if not is_zero_vector(v)])
+    assert all(s.beta in calls for s in result.strata)
