@@ -13,8 +13,10 @@ run in integers: the weights, chi and the form are each cleared of
 denominators once, which scales the cone's generators, chi, p and q by
 positive constants only.  The Moreau/KKT conditions certify the result
 completely and are re-checked in integers: the coefficients of p are >= 0,
-q(w, v) <= 0 for every weight w of the set, and q(p, v) = 0.  Only then
-are v, p, the coefficients and the pairings turned into Fractions.
+q(w, v) <= 0 for every weight w of the set, and q(p, v) = 0.  The
+projection keeps that integer certificate; v, p, the coefficients and the
+pairings become Fractions only when they are read.  Within the solve, the
+passive coefficients and step lengths are still Fractions.
 
 The defining support of p is read off the solve, not searched for: the
 members with a coefficient > 0, its final passive set, are independent
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InternalInconsistency
@@ -58,7 +61,7 @@ class GramTable:
 def gram_table(weights: Sequence[Vector], chi: Vector, q: GramForm) -> GramTable:
     weight_scale, int_weights = clear_denominators(weights)
     chi_scale, (int_chi,) = clear_denominators([chi])
-    form_scale, int_form = clear_denominators(q.rows)
+    form_scale, int_form = q.cleared
     covectors = tuple(tuple(dot(row, w) for row in int_form) for w in int_weights)
     gram = tuple(tuple(dot(c, w) for w in int_weights) for c in covectors)
     rhs = tuple(dot(c, int_chi) for c in covectors)
@@ -71,15 +74,38 @@ class ConeProjection:
     """The projection p of chi onto cone{w_i : i in members} and v = chi - p.
 
     The closest point of conv{0, w_i} + eps*chi to the origin is eps*v.
-    coefficients[k] >= 0 is the weight of w_{members[k]} in p, and
-    pairings[k] = q(w_{members[k]}, v) <= 0.
+    The certificate is kept in integers on the table's scales: V = scale*v
+    (``int_direction``), P = scale*p, coefficient k of w_{members[k]} in p
+    is int_coefficients[k]*weight_scale/scale >= 0, and its pairing
+    q(w_{members[k]}, v) is int_pairings[k]/(scale*weight_scale*form_scale)
+    <= 0.  The Fraction fields are built on first read.
     """
 
-    direction: Vector
-    projection: Vector
     members: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
-    pairings: tuple[Fraction, ...]
+    int_direction: IntVector
+    int_projection: IntVector
+    int_coefficients: IntVector
+    int_pairings: IntVector
+    scale: int
+    weight_scale: int
+    form_scale: int
+
+    @cached_property
+    def direction(self) -> Vector:
+        return tuple(Fraction(x, self.scale) for x in self.int_direction)
+
+    @cached_property
+    def projection(self) -> Vector:
+        return tuple(Fraction(x, self.scale) for x in self.int_projection)
+
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k * self.weight_scale, self.scale) for k in self.int_coefficients)
+
+    @cached_property
+    def pairings(self) -> tuple[Fraction, ...]:
+        pair_scale = self.scale * self.weight_scale * self.form_scale
+        return tuple(Fraction(s, pair_scale) for s in self.int_pairings)
 
 
 def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
@@ -143,15 +169,8 @@ def _certify(table: GramTable, members: tuple[int, ...], ks: Sequence[int], den:
     if dot(ks, pairings) != 0:
         raise InternalInconsistency("cone projection residual is not orthogonal to the projection")
     # back to chi = X/chi_scale: v = V/scale, p = P/scale, w_i = W_i/weight_scale
-    scale = den * table.chi_scale
-    pair_scale = scale * table.weight_scale * table.form_scale
-    return ConeProjection(
-        direction=tuple(Fraction(x, scale) for x in v),
-        projection=tuple(Fraction(x, scale) for x in p),
-        members=members,
-        coefficients=tuple(Fraction(k * table.weight_scale, scale) for k in ks),
-        pairings=tuple(Fraction(s, pair_scale) for s in pairings),
-    )
+    return ConeProjection(members, tuple(v), tuple(p), tuple(ks), tuple(pairings),
+                          den * table.chi_scale, table.weight_scale, table.form_scale)
 
 
 def cone_support(proj: ConeProjection, table: GramTable) -> tuple[int, ...]:
@@ -159,7 +178,7 @@ def cone_support(proj: ConeProjection, table: GramTable) -> tuple[int, ...]:
     set of the solve, () when p = 0.  By the certificate they carry p with
     positive coefficients and pair to 0 with v; their linear independence
     is re-checked here."""
-    support = tuple(i for i, c in zip(proj.members, proj.coefficients) if c > 0)
+    support = tuple(i for i, k in zip(proj.members, proj.int_coefficients) if k > 0)
     if matrix_rank([table.int_weights[i] for i in support]) != len(support):
         raise InternalInconsistency("the defining support is linearly dependent")
     return support

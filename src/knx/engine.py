@@ -57,7 +57,7 @@ class ExactnessProblem:
             validate_lie_character(self.c, self.group)
         if self.weights.rank != self.group.rank:
             raise InvalidParameter("weights, character and group rank disagree")
-        validate_weyl_stable(self.weights.w_weights, self.group)
+        validate_weyl_stable(self.weights.cleared[1], self.group)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidParameter, ZeroVector
 from .linalg import IntVector, clear_denominators, dot, solve_exact
@@ -33,9 +33,13 @@ class GroupData:
         return not self.roots
 
     @cached_property
-    def _sparse_roots(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The nonzero (i, r_i) of each root: a gl(n) root has two of n."""
-        return tuple(tuple((i, x) for i, x in enumerate(r) if x) for r in self.roots)
+    def int_roots(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(d, the nonzero (i, d*r_i) of each root r) for the least d > 0 that
+        clears them: a gl(n) root has two nonzero entries of n, so pairing
+        one vector with every root is O(n^2), not O(n^3)."""
+        sparse = [[(i, x) for i, x in enumerate(r) if x] for r in self.roots]
+        d = lcm(1, *(x.denominator for r in sparse for _, x in r))
+        return d, tuple(tuple((i, x.numerator * (d // x.denominator)) for i, x in r) for r in sparse)
 
     @cached_property
     def reflections(self) -> tuple[tuple[IntVector, IntVector, int], ...]:
@@ -53,13 +57,6 @@ def _permutes(vectors: Sequence[IntVector], s: IntVector, qs: IntVector, qss: in
     moved = [(w, p) for w in vectors if (p := dot(w, qs))]  # Q(W, S) = 0: W is fixed
     scaled = Counter(tuple(qss * a for a in w) for w, _ in moved)
     return scaled == Counter(_reflect(w, p, s, qss) for w, p in moved)
-
-
-def root_pairings(vec: Vector, group: GroupData) -> Iterator[Fraction]:
-    """q(r, vec) for each root r in order: q*vec is formed once, and each
-    root visits only its nonzero entries, so gl(n) costs O(n^2), not O(n^3)."""
-    qv = group.form.covector(vec)
-    return (sum(x * qv[i] for i, x in root) for root in group._sparse_roots)
 
 
 def group_data(
@@ -242,13 +239,13 @@ def validate_torus_character(chi: TorusCharacter, group: GroupData) -> None:
     _require_invariant("chi", chi.vec, group)
 
 
-def validate_weyl_stable(weights: Sequence[Vector], group: GroupData) -> None:
-    """Every simple reflection must permute the weight multiset: the strata
-    are Weyl classes of flat directions, and v(wF) = w v(F) for the flats F
-    and Weyl elements w only if the Weyl group permutes the weights."""
-    ints = clear_denominators(weights)[1] if group.simple_roots else ()
+def validate_weyl_stable(int_weights: Sequence[IntVector], group: GroupData) -> None:
+    """Every simple reflection must permute the weight multiset, given
+    cleared to integers on any one positive scale: the strata are Weyl
+    classes of flat directions, and v(wF) = w v(F) for the flats F and Weyl
+    elements w only if the Weyl group permutes the weights."""
     for root, reflection in zip(group.simple_roots, group.reflections):
-        if not _permutes(ints, *reflection):
+        if not _permutes(int_weights, *reflection):
             raise InvalidParameter(
                 f"the reflection in the simple root {tuple(map(str, root))} "
                 "does not permute the weights"
@@ -259,8 +256,10 @@ def _require_invariant(what: str, vec: Vector, group: GroupData) -> None:
     # the length check comes first and costs nothing, whatever rank is claimed
     if len(vec) != group.rank:
         raise InvalidParameter(f"{what} length does not match rank")
-    for r, p in zip(group.roots, root_pairings(vec, group)):
-        if p != 0:
+    # q*vec is formed once and cleared; each root visits its nonzero entries
+    _, (qv,) = clear_denominators([group.form.covector(vec)])
+    for r, root in zip(group.roots, group.int_roots[1]):
+        if sum(x * qv[i] for i, x in root):
             raise InvalidParameter(
                 f"{what} does not vanish on the root {tuple(map(str, r))}"
             )

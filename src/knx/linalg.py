@@ -9,7 +9,10 @@ the matching row of the reduced row echelon form, so the rows are zero in
 every other row's pivot column and the basis is its own hashable key.
 ``span_extend`` adds one vector fraction-free (Bareiss 1968): a row step
 multiplies by the pivot instead of dividing by it, and one gcd at the end
-keeps the entries small.
+keeps the entries small.  A caller that extends one basis by many vectors
+passes the basis's ``pivots`` once.  ``rref_sorted`` orders bases of one
+rank as their Fraction RREFs would be ordered, without building one: the
+RREF rows times the lcm of all their pivot entries are integer rows.
 
 The span walk of the strata path extends bases directly, and
 ``matrix_rank`` is the size of the basis of the rows.  ``solve_exact``
@@ -20,16 +23,18 @@ passive solves of the cone projection call ``solve_exact`` on the integer
 Gram table, and each defining support makes one ``matrix_rank`` call to
 re-check its independence.  The oracle makes one ``matrix_rank`` call
 per closest-point search, for the affine rank of its vertices, and one
-``solve_exact`` per support, on its integer Gram minor.  Sizes in this
-package stay in the single digits, so straightforward elimination is both
-fast enough and easy to audit.
+``solve_exact`` per support, on its integer Gram minor.  No Fraction is
+built here.  Sizes in this package stay in the single digits, so
+straightforward elimination is both fast enough and easy to audit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 IntVector = tuple[int, ...]
@@ -58,29 +63,37 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[I
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def span_extend(basis: IntBasis, v: Sequence[int]) -> IntBasis:
+def pivots(basis: IntBasis) -> list[int]:
+    """The pivot column of each row of a canonical basis, in row order."""
+    return [_pivot(row) for row in basis]
+
+
+def span_extend(basis: IntBasis, v: Sequence[int], cols: Sequence[int] | None = None) -> IntBasis:
     """Canonical basis of span(basis + {v}); ``basis`` itself when v lies in
-    its span, so one call both tests and extends."""
-    vec = _reduce(basis, v)
+    its span, so one call both tests and extends.  ``cols`` are the
+    basis's ``pivots``, for a caller that extends one basis by many vectors."""
+    if cols is None:
+        cols = pivots(basis)
+    vec = _reduce(basis, cols, v)
     p = _pivot(vec)
     if p is None:
         return basis
     vec = _primitive(vec, p)
     d = vec[p]
     # clear the new pivot column from the rows above; each keeps its own
-    # pivot entry positive, and vec is zero in their pivot columns
-    rows = [_primitive([d * a - row[p] * b for a, b in zip(row, vec)], _pivot(row))
-            if row[p] else row for row in basis]
-    rows.append(vec)
-    rows.sort(key=_pivot)
+    # pivot column and a positive entry there, since vec is zero in every
+    # pivot column and before p
+    rows = [_primitive([d * a - row[p] * b for a, b in zip(row, vec)], c)
+            if row[p] else row for row, c in zip(basis, cols)]
+    rows.insert(bisect_left(cols, p), vec)
     return tuple(rows)
 
 
 def span_contains(basis: IntBasis, v: Sequence[int]) -> bool:
-    return not any(_reduce(basis, v))
+    return not any(_reduce(basis, pivots(basis), v))
 
 
 def span_key(basis: IntBasis) -> IntBasis:
@@ -88,17 +101,23 @@ def span_key(basis: IntBasis) -> IntBasis:
     return tuple(basis)
 
 
-def rref_key(basis: IntBasis) -> tuple[tuple[Fraction, ...], ...]:
-    """The reduced row echelon form of the span over Fraction, for ordering."""
-    return tuple(tuple(Fraction(a, row[_pivot(row)]) for a in row) for row in basis)
+def rref_sorted(bases: Sequence[IntBasis]) -> list[IntBasis]:
+    """Canonical bases of one rank, in the order of their reduced row echelon
+    forms over Fraction.  Each row of the RREF is the basis row over its
+    pivot entry; times the lcm of every pivot entry of the bases, it is an
+    integer row, and one positive scale for all keeps their order."""
+    cols = [pivots(basis) for basis in bases]
+    scale = lcm(1, *(row[c] for basis, bc in zip(bases, cols) for row, c in zip(basis, bc)))
+    keys = [tuple(tuple(a * (scale // row[c]) for a in row) for row, c in zip(basis, bc))
+            for basis, bc in zip(bases, cols)]
+    return [basis for _, basis in sorted(zip(keys, bases))]
 
 
-def _reduce(basis: IntBasis, v: Sequence[int]) -> list[int]:
+def _reduce(basis: IntBasis, cols: Sequence[int], v: Sequence[int]) -> list[int]:
     # a positive multiple of v minus its component in the span: zero in
     # every pivot column, and zero exactly when v lies in the span
     vec = list(v)
-    for row in basis:
-        p = _pivot(row)
+    for row, p in zip(basis, cols):
         f = vec[p]
         if f:
             d = row[p]

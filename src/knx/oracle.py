@@ -78,7 +78,7 @@ def numeric_min_norm(
         raise CapExceeded(f"{len(vertices)} vertices exceed the cap of {cap}")
     dim = len(vertices[0])
     scale, pts = clear_denominators(vertices)
-    form = clear_denominators(q.rows)[1]
+    form = q.cleared[1]
     covectors = [tuple(dot(row, p) for row in form) for p in pts]
     g = [[dot(c, p) for p in pts] for c in covectors]
     # an affinely independent support has at most (affine rank) + 1 points

@@ -154,7 +154,9 @@ def _parse_group(value) -> tuple[int, Callable[[], GroupData]]:
         form_rows = None
         if form is not None:
             form_rows = [_parse_vector(r, "form row") for r in _require_list(form, "form")]
-        label = str(value.get("label", "custom"))
+        label = value.get("label", "custom")
+        if not isinstance(label, str):
+            raise SchemaError("label must be a string")
         return rank, lambda: group_data(rank, roots, simple, form_rows, label)
     raise SchemaError(f"unknown group type {kind!r}")
 

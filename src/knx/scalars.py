@@ -1,13 +1,16 @@
 """Exact scalars and vectors: rationals, rational vectors, the pairing q.
 
-Problem data, directions, pairings and every reported number are
-Fractions.  The strata kernel is the exception: the span walk
-(``linalg``) and the cone projection (``convex``) clear the weights, chi
-and the form to integers once per weight set, work in Python ints, and
-hand Fractions back in each ``ConeProjection``.  The infinitesimal
-perturbation of the weight hulls never needs its own arithmetic: the
-closest point of a perturbed hull is exactly eps*v for a rational vector v
-(see ``convex``).
+Problem data and every reported number are Fractions; the pairings in
+between are integers.  Each problem is cleared to integers once: the
+weight system caches its cleared weights, the group its cleared roots and
+``GramForm.cleared`` the form's integer rows, and the span walk, the cone
+projection, the stratum signs, the shifts and the invariance checks pair
+those tables in Python ints.  Fractions are still built where a value is
+parsed or reported (a ``ConeProjection`` builds its Fraction fields only
+when they are read), for c(beta) through ``GramForm.apply``, and in the
+step lengths of the cone solve.  The infinitesimal perturbation of the
+weight hulls never needs its own arithmetic: the closest point of a
+perturbed hull is exactly eps*v for a rational vector v (see ``convex``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter
+from .linalg import IntVector, clear_denominators
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -113,6 +117,11 @@ class GramForm:
                 f = work[i][k] / work[k][k]
                 work[i] = [a - f * b for a, b in zip(work[i], work[k])]
         return cls(mat)
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[IntVector, ...]]:
+        """(d, d*q) for the least d > 0 that makes every entry an integer."""
+        return clear_denominators(self.rows)
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:

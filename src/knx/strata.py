@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Iterator, Sequence
 
 from .convex import (
@@ -27,9 +29,9 @@ from .convex import (
     min_norm_point,
 )
 from .errors import CapExceeded, InvalidParameter
-from .groups import GroupData, TorusCharacter, primitive_rescale, weyl_canonicalize
-from .linalg import dot, rref_key, span_extend
-from .scalars import Vector, is_zero_vector, vec_neg, vector
+from .groups import GroupData, TorusCharacter, weyl_canonicalize
+from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend
+from .scalars import Vector, vec_neg, vector
 
 ORIENTATIONS = ("negative", "positive", "both")
 
@@ -59,11 +61,24 @@ class WeightSystem:
     def rank(self) -> int:
         return len(self.w_weights[0])
 
-    @property
+    @cached_property
     def stratify_weights(self) -> tuple[Vector, ...]:
         if self.mode == "cotangent":
             return self.w_weights + tuple(vec_neg(w) for w in self.w_weights)
         return self.w_weights
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[IntVector, ...]]:
+        """(d, d*w for each of w_weights) for the least d > 0 that clears them."""
+        return clear_denominators(self.w_weights)
+
+    @cached_property
+    def int_stratify_weights(self) -> tuple[IntVector, ...]:
+        """d*w for each of stratify_weights, on the scale d of ``cleared``."""
+        ints = self.cleared[1]
+        if self.mode == "cotangent":
+            return ints + tuple(tuple(-a for a in w) for w in ints)
+        return ints
 
 
 def weight_system(weights: Sequence[Sequence], mode: str = "cotangent") -> WeightSystem:
@@ -119,18 +134,21 @@ def span_candidates(
     both the symbolic enumeration and the concrete-eps oracle, which
     re-solves each flat independently.
     """
-    weights = ws.stratify_weights
     if len(chi.vec) != ws.rank or group.rank != ws.rank:
         raise InvalidParameter("weights, character and group rank disagree")
-    distinct = sorted(set(weights))
+    # the distinct weights in the order of their Fraction vectors: one
+    # positive scale keeps it
+    ints = ws.int_stratify_weights
+    distinct = sorted(set(ints))
     if len(distinct) + 1 > cap:
         raise CapExceeded(f"{len(distinct)} distinct weights exceed the cap of {cap}")
-    nonzero = [w for w in distinct if not is_zero_vector(w)]
-    table = gram_table(nonzero, chi.vec, group.form)
+    nonzero = [w for w in distinct if any(w)]
+    vectors = dict(zip(ints, ws.stratify_weights))
+    table = gram_table([vectors[w] for w in nonzero], chi.vec, group.form)
 
     # breadth-first over the canonical integer bases of the spans (each its
     # own key), one rank per level, each level in the order of the spans'
-    # Fraction RREF keys; extending a basis by each weight both lists the
+    # Fraction RREFs; extending a basis by each weight both lists the
     # members of its flat (the basis comes back unchanged) and finds the
     # flats one rank up
     seen = {()}
@@ -138,9 +156,10 @@ def span_candidates(
     while level:
         found = []
         for basis in level:
+            cols = pivots(basis)
             members = []
             for i, w in enumerate(table.int_weights):
-                bigger = span_extend(basis, w)
+                bigger = span_extend(basis, w, cols)
                 if bigger is basis:
                     members.append(i)
                     continue
@@ -148,7 +167,7 @@ def span_candidates(
                     seen.add(bigger)
                     found.append(bigger)
             yield table, min_norm_point(table, members)
-        level = sorted(found, key=rref_key)
+        level = rref_sorted(found)
 
 
 def enumerate_kn(
@@ -161,45 +180,58 @@ def enumerate_kn(
     """Enumerate the KN one-parameter subgroups for the character chi."""
     if orientation not in ORIENTATIONS:
         raise InvalidParameter(f"unknown orientation {orientation!r}")
-    weights = ws.stratify_weights
     q = group.form
     semistable = False
     found: dict[Vector, KNStratum] = {}
-    # a direction seen before has its Weyl key in found already
-    seen: set[Vector] = set()
-    # each weight's first position: later positions are overwritten
-    first = {w: i for i, w in reversed(tuple(enumerate(weights)))}
+    # the integer betas seen before: their Weyl keys are in found already
+    seen: set[IntVector] = set()
+    # per stratify weight its table index (None for a zero weight), and
+    # per table index its first stratify weight, once the table is known
+    index: list[int | None] = []
+    first: dict[int, int] = {}
     for table, proj in span_candidates(ws, chi, group, cap):
-        v = proj.direction
-        if is_zero_vector(v):
+        v = proj.int_direction
+        if not any(v):
             semistable = True
             continue
-        if v in seen:
+        # beta_pos is the primitive integer multiple of v
+        g = gcd(*v)
+        ints = tuple(a // g for a in v)
+        if ints in seen:
             continue
-        seen.add(v)
-        beta_neg = primitive_rescale(vec_neg(v))
-        beta_pos = vec_neg(beta_neg)
+        seen.add(ints)
+        beta_pos = tuple(map(Fraction, ints))
+        beta_neg = vec_neg(beta_pos)
         # W acts linearly, so either sign's orbit determines the other's
-        beta = beta_pos if orientation == "positive" else beta_neg
+        if orientation == "positive":
+            beta = beta_pos
+        else:
+            beta, ints = beta_neg, tuple(-a for a in ints)
         dominant = weyl_canonicalize(beta, group)
         if dominant in found:
             continue
+        if not index:
+            # the table clears its weights by the least common denominator
+            # of the same entries, so its integer weights are these
+            position = {w: t for t, w in enumerate(table.int_weights)}
+            index = [position.get(w) for w in ws.int_stratify_weights]
+            for i, t in enumerate(index):
+                first.setdefault(t, i)
         # Q(W, beta) over the integer table has the sign of q(w, beta); a
         # zero weight is not in the table and pairs to 0
-        ints = [x.numerator for x in beta]
-        sign = {w: dot(c, ints) for w, c in zip(table.weights, table.covectors)}
+        sign = [dot(c, ints) for c in table.covectors]
         plus, zero_idx, minus = [], [], []
-        for i, w in enumerate(weights):
-            s = sign.get(w, 0)
+        for i, t in enumerate(index):
+            s = 0 if t is None else sign[t]
             (plus if s > 0 else zero_idx if s == 0 else minus).append(i)
         found[dominant] = KNStratum(
-            direction=v,
+            direction=proj.direction,
             beta_neg=beta_neg,
             beta_pos=beta_pos,
             beta=beta,
             beta_dominant=dominant,
-            q_norm=q.norm2(v),
-            defining_indices=tuple(sorted(first[table.weights[j]] for j in cone_support(proj, table))),
+            q_norm=q.norm2(proj.direction),
+            defining_indices=tuple(sorted(first[j] for j in cone_support(proj, table))),
             v_plus=tuple(plus),
             v_zero=tuple(zero_idx),
             v_minus=tuple(minus),

@@ -129,12 +129,16 @@ def test_cone_support_rejects_a_dependent_passive_set():
     w = vector(["1", "1"])
     table = gram_table([w, vec_scale(F(2), w)], vector(["3", "3"]), Q2)
     forged = ConeProjection(
-        direction=vec_zero(2),
-        projection=vector(["3", "3"]),
         members=(0, 1),
-        coefficients=(F(1), F(1)),
-        pairings=(F(0), F(0)),
+        int_direction=(0, 0),
+        int_projection=(3, 3),
+        int_coefficients=(1, 1),
+        int_pairings=(0, 0),
+        scale=1,
+        weight_scale=table.weight_scale,
+        form_scale=table.form_scale,
     )
+    assert forged.projection == vector(["3", "3"]) and forged.coefficients == (F(1), F(1))
     with pytest.raises(InternalInconsistency):
         cone_support(forged, table)
 

@@ -1,4 +1,4 @@
-"""``matrix_rank`` and ``solve_exact`` against a Fraction Gauss-Jordan reference.
+"""``matrix_rank``, ``solve_exact`` and ``rref_sorted`` against Fraction references.
 
 ``matrix_rank`` takes any rows of Fractions or ints.  ``solve_exact`` takes
 square integer systems only and answers in integers: x = nums/den with
@@ -8,6 +8,8 @@ singular.  The comparison converts that answer to Fractions.
 The reference below is plain Gauss-Jordan elimination over Fraction, kept
 here so that it stays independent of the integer kernel under test; the
 reference cone projection in ``test_integer_kernel`` solves with it too.
+``rref_sorted`` must order canonical bases as their Fraction RREFs do
+(``rref_key``, the key the span walk sorted by before it moved to integers).
 """
 
 from fractions import Fraction as F
@@ -16,7 +18,7 @@ from math import gcd, lcm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knx.linalg import matrix_rank, solve_exact
+from knx.linalg import matrix_rank, rref_sorted, solve_exact, span_extend
 
 # -- reference: Gauss-Jordan over Fraction -----------------------------------
 
@@ -154,3 +156,38 @@ def test_entries_near_two_to_the_thousand():
     assert solve_exact([[big, big + 1], [2 * big, 2 * big + 2]], [1, 2]) is None
     den, nums = solve_exact([[big]], [1])
     assert (den, nums) == (big, (1,))
+
+
+def rref_key(basis):
+    """The reduced row echelon form of a canonical integer basis over Fraction."""
+    return tuple(tuple(F(a, next(x for x in row if x)) for a in row) for row in basis)
+
+
+@st.composite
+def _levels(draw):
+    # canonical bases of one rank, built by extending by random integer
+    # vectors that mostly share one small pool, so that pivots and entries
+    # repeat across bases
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, n))
+    vectors = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    pool = draw(st.lists(vectors, min_size=rank, max_size=rank + 3))
+    bases = set()
+    for _ in range(draw(st.integers(1, 8))):
+        basis = ()
+        for v in draw(st.permutations(pool)) + draw(st.lists(vectors, max_size=2)):
+            if len(basis) < rank:
+                basis = span_extend(basis, v)
+        if len(basis) == rank:
+            bases.add(basis)
+    return list(bases)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_levels())
+@example([((1, 0), (0, 1))])
+@example([((2, 1),), ((1, 1),), ((1, 0),), ((0, 1),), ((3, -1),)])
+@example([((1, 0, 1), (0, 2, 1)), ((1, 0, 0), (0, 3, 1)), ((1, 0, 2), (0, 3, 1))])
+def test_level_order_is_the_fraction_rref_order(bases):
+    assert rref_sorted(bases) == sorted(bases, key=rref_key)
+    assert rref_sorted(list(reversed(bases))) == rref_sorted(bases)

@@ -226,7 +226,7 @@ def test_oracle_detects_a_wrong_projection(monkeypatch, capsys, golden_dir):
 
     def doubled(table, members):
         proj = solve(table, members)
-        return replace(proj, direction=vec_scale(F(2), proj.direction))
+        return replace(proj, int_direction=tuple(2 * x for x in proj.int_direction))
 
     monkeypatch.setattr(knx.strata, "min_norm_point", doubled)
     report = cross_check_problem(cherednik_preset(2))

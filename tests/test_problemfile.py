@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knx.cli import main
 from knx.errors import SchemaError
 from knx.problemfile import parse_problem
 
@@ -133,3 +136,18 @@ def test_drop_strata_entries_are_length_checked():
                "drop_strata": [["1", "0"], ["1"]]}
     with pytest.raises(SchemaError, match="drop_strata entry length does not match rank"):
         parse_problem(problem)
+
+
+def test_a_custom_label_must_be_a_string(tmp_path, capsys):
+    # the label reaches the report's provenance verbatim, so a float inside
+    # it would be the only float in a report
+    group = {"type": "custom", "rank": 1, "label": {"a": [1, 2.5]}}
+    problem = {"knx_version": 1, "group": group, "weights": [["1"]], "chi": ["1"]}
+    with pytest.raises(SchemaError, match="label must be a string"):
+        parse_problem(problem)
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(problem))
+    assert main(["strata", str(path)]) == 2
+    assert "label must be a string" in capsys.readouterr().err
+    group["label"] = "T1"
+    assert parse_problem(problem).group.label == "T1"

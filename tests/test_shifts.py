@@ -1,16 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knx.engine import cherednik_preset
 from knx.errors import SliceSubtractionFailure, UnsupportedMode
-from knx.groups import gl, torus
+from knx.groups import gl, group_data, product, torus
 from knx.oracle import random_problem
-from knx.scalars import vec_neg, vector
+from knx.scalars import vec_neg, vec_scale, vector
 from knx.semigroup import membership, semigroup_from_generators
-from knx.shifts import compute_shift, full_space_generators
-from knx.strata import enumerate_kn, weight_system
+from knx.shifts import ShiftData, compute_shift, full_space_generators
+from knx.strata import WeightSystem, enumerate_kn, weight_system
 
 GL2_WS = weight_system(
     [["0", "0"], ["1", "-1"], ["-1", "1"], ["0", "0"], ["1", "0"], ["0", "1"]],
@@ -161,3 +164,77 @@ def test_full_space_generators_superset():
             assert set(sd.semigroup_generators) <= set(full)
             # torus: the two strictness variants coincide
             assert set(sd.semigroup_generators) == set(full)
+
+
+# -- the integer shift against its Fraction reference ------------------------
+
+
+def _ref_compute_shift(beta, ws, group):
+    """compute_shift as it was before it moved to integers: every pairing a
+    Fraction, the magnitudes counted and sorted as Fractions."""
+    if ws.mode == "raw" and not group.is_torus:
+        raise UnsupportedMode("raw mode shifts are only defined for torus actions")
+    q = group.form
+    base_pairings = [q.apply(w, beta) for w in ws.w_weights]
+    half_abs = sum(abs(p) for p in base_pairings) / 2
+    negative = [g for g in (q.apply(r, beta) for r in group.roots) if g < 0]
+    n_minus = sum(negative, F(0))
+    magnitudes = Counter(abs(p) for p in base_pairings)
+    for g in negative:
+        if magnitudes[-g] <= 0:
+            raise SliceSubtractionFailure(f"phase-space weights lack the nilpotent pairing {g}")
+        magnitudes[-g] -= 1
+    slice_weights = tuple(sorted(w for m, k in magnitudes.items() for w in (-m, m) for _ in range(k)))
+    assert 4 * half_abs == sum(abs(w) for w in slice_weights) - 2 * n_minus
+    generators = tuple(sorted(m for m, k in magnitudes.items() if m and k))
+    return ShiftData(beta, half_abs, n_minus, n_minus + half_abs, slice_weights, generators)
+
+
+def _ref_full_space_generators(beta, ws, group):
+    return tuple(sorted({abs(group.form.apply(w, beta)) for w in ws.w_weights} - {0}))
+
+
+_B2_ROOTS = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"],
+             ["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]]
+# B2 under the invariant form diag(2, 2)
+_B2_DIAG = group_data(2, _B2_ROOTS, [["1", "-1"], ["0", "1"]], [["2", "0"], ["0", "2"]], "B2")
+_GROUPS = (torus(2), gl(2), gl(3), _B2_DIAG, product([gl(2), torus(1)]), product([gl(2), _B2_DIAG]))
+_fractions = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _shift_cases(draw):
+    # some of the group's roots, so that the nilpotent pairings are mostly
+    # present, and random weights a/L; beta an integer vector rescaled by a
+    # nonzero fraction, or negated
+    group = draw(st.sampled_from(_GROUPS))
+    n = group.rank
+    roots = draw(st.lists(st.sampled_from(group.roots), max_size=len(group.roots))) if group.roots else []
+    vectors = st.lists(_fractions, min_size=n, max_size=n).map(tuple)
+    others = draw(st.lists(vectors, max_size=4))
+    weights = tuple(roots) + tuple(others) or ((F(0),) * n,)
+    beta = draw(vectors.filter(any))
+    beta = vec_scale(draw(_fractions.filter(bool)), beta)
+    mode = "raw" if not group.roots and draw(st.booleans()) else "cotangent"
+    return beta, WeightSystem(weights, mode), group
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_shift_cases())
+@example((vector(["1", "0"]), GL2_WS, gl(2)))
+@example((vector(["3/2", "3/2", "0"]), GL3_WS, gl(3)))
+@example((vector(["-1", "0"]), weight_system([["1/3", "0"], ["0", "1/3"]]), gl(2)))
+def test_integer_shift_matches_the_fraction_reference(case):
+    beta, ws, group = case
+    try:
+        expected = _ref_compute_shift(beta, ws, group)
+    except SliceSubtractionFailure as exc:
+        with pytest.raises(SliceSubtractionFailure) as got:
+            compute_shift(beta, ws, group)
+        assert str(got.value) == str(exc)
+    else:
+        got = compute_shift(beta, ws, group)
+        assert got == expected
+        assert all(type(x) is F for x in (got.half_abs_sum, got.n_minus_sum, got.shift,
+                                          *got.slice_weights, *got.semigroup_generators))
+    assert full_space_generators(beta, ws, group) == _ref_full_space_generators(beta, ws, group)
