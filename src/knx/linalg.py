@@ -22,8 +22,9 @@ pivoting, then back substitution to the integers det(A) * x, returned as
 passive solves of the cone projection call ``solve_exact`` on the integer
 Gram table, and each defining support makes one ``matrix_rank`` call to
 re-check its independence.  The oracle makes one ``matrix_rank`` call
-per closest-point search, for the affine rank of its vertices, and one
-``solve_exact`` per support, on its integer Gram minor.  No Fraction is
+per closest-point search, for the affine rank of its vertices; it
+eliminates the supports' Gram minors itself, one chain at a time, and
+re-solves each winning support with one ``solve_exact``.  No Fraction is
 built here.  Sizes in this package stay in the single digits, so
 straightforward elimination is both fast enough and easy to audit.
 """

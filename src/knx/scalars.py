@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidParameter
 from .linalg import IntVector, clear_denominators
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def rat(value) -> Fraction:
@@ -36,10 +36,12 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if match is None:
             raise InvalidParameter(f"not a rational string: {value!r}")
+        num, den = match.groups()
         try:
-            return Fraction(value.strip())
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
         except ValueError as exc:  # more digits than int() converts
             raise InvalidParameter("too many digits in a rational string") from exc
     raise InvalidParameter(f"floats and other types are not allowed: {value!r}")

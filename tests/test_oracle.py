@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import reduce
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import knx.oracle
 import knx.strata
 from knx.cli import main
 
-from knx.errors import InvalidParameter
+from knx.errors import InternalInconsistency, InvalidParameter
 from knx.groups import TorusCharacter, torus
 from knx.oracle import (
     OracleConfig,
@@ -20,6 +22,7 @@ from knx.oracle import (
 )
 from knx.engine import cherednik_preset
 from knx.groups import weyl_canonicalize
+from knx.linalg import solve_exact
 from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vector
 from knx.strata import enumerate_kn, weight_system
 from test_linalg import ref_rank, ref_solve
@@ -30,25 +33,28 @@ Q2 = GramForm.identity(2)
 
 def test_numeric_min_norm_examples():
     eps0 = F(-1, 1024)
-    # subset {alpha0, (1,1)} of the two-weight torus example at concrete eps
-    verts = [vector([0, eps0]), vector([1, 1 + eps0])]
-    got = numeric_min_norm(verts, Q2)
-    assert got == (-eps0 / 2, eps0 / 2)
-    assert got == (F(1, 2048), F(-1, 2048))
+    up = vector([0, eps0])
+    # subset {alpha0, (1,1)} of the two-weight torus example at concrete
+    # eps, given both as translated vertices and as a translation
+    assert numeric_min_norm([vector([0, eps0]), vector([1, 1 + eps0])], [vector([0, 0])], Q2) == [
+        (F(1, 2048), F(-1, 2048))
+    ]
+    got = numeric_min_norm([vector([0, 0]), vector([1, 1])], [up, vector([0, 2 * eps0])], Q2)
+    assert got == [(-eps0 / 2, eps0 / 2), (-eps0, eps0)]
 
-    single = [vector([0, eps0])]
-    assert numeric_min_norm(single, Q2) == (F(0), eps0)
+    assert numeric_min_norm([vector([0, 0])], [up], Q2) == [(F(0), eps0)]
 
-    sym = [vector([1, eps0]), vector([-1, eps0])]
-    assert numeric_min_norm(sym, Q2) == (F(0), eps0)
+    sym = [vector([1, 0]), vector([-1, 0])]
+    assert numeric_min_norm(sym, [up], Q2) == [(F(0), eps0)]
+    assert numeric_min_norm(sym, [], Q2) == []
 
 
 def test_numeric_min_norm_cotangent_pair_is_semistable():
     # one coordinate and one dual coordinate nonzero: 0 lies in the hull
-    # [-1+eps, 1+eps], so the point is semistable
+    # [-1+eps, 1+eps], so the point is semistable at every small eps
     eps0 = F(-1, 1024)
-    verts = [vector([eps0]), vector([1 + eps0]), vector([-1 + eps0])]
-    assert numeric_min_norm(verts, Q1) == vector(["0"])
+    verts = [vector(["0"]), vector(["1"]), vector(["-1"])]
+    assert numeric_min_norm(verts, [vector([eps0]), vector([-eps0 / 3])], Q1) == [vector(["0"])] * 2
 
 
 def reference_min_norm(vertices, q):
@@ -100,28 +106,74 @@ def hull_problems(draw):
     for i, j, k, s, t in extra:
         p, dj, dk = base[i], vec_sub(base[j], base[i]), vec_sub(base[k], base[i])
         points.append(vec_add(p, vec_add(vec_scale(s, dj), vec_scale(t, dk))))
-    return draw(st.permutations(points)), FORMS[name](dim)
+    # translations anywhere, or minus the centroid of some points: that one
+    # puts the origin inside the hull, where the widest supports win
+    centroids = st.lists(st.sampled_from(points), min_size=1, max_size=4).map(
+        lambda ps: vec_scale(F(-1, len(ps)), reduce(vec_add, ps)))
+    shifts = draw(st.lists(st.one_of(st.tuples(*[COORDS] * dim), centroids), min_size=1, max_size=3))
+    return draw(st.permutations(points)), shifts, FORMS[name](dim)
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(hull_problems())
-@example(([vector(["1/2", "-3"])], GramForm.from_rows([[2, 1], [1, 2]])))
-@example(([vector(["1", "1"])] * 3 + [vector(["2", "2"]), vector(["3", "3"])], GramForm.identity(2)))
+@example(([vector(["1/2", "-3"])], [vector(["0", "0"])], GramForm.from_rows([[2, 1], [1, 2]])))
+@example(([vector(["1", "1"])] * 3 + [vector(["2", "2"]), vector(["3", "3"])],
+          [vector(["-2", "-2"]), vector(["-1/2", "-3"])], GramForm.identity(2)))
 @example(([vector(["1", "0", "1"]), vector(["0", "1", "1"]), vector(["1", "1", "1"]),
-           vector(["2", "-1", "1"])], GramForm.identity(3)))
+           vector(["2", "-1", "1"])], [vector(["0", "0", "0"])], GramForm.identity(3)))
 # rank-deficient in dim 3, so the supports stop below dim + 1 points: four
 # points on a line (affine rank 1) and five in the plane x + y + z = 1
 # (affine rank 2), each with its closest point inside the hull
 @example(([vector(["2", "0", "1"]), vector(["1", "1", "1"]), vector(["3", "-1", "1"]),
-           vector(["0", "2", "1"])], GramForm.identity(3)))
+           vector(["0", "2", "1"])], [vector(["0", "0", "0"]), vector(["-1", "0", "-1"])],
+          GramForm.identity(3)))
 @example(([vector(["1", "0", "0"]), vector(["0", "1", "0"]), vector(["0", "0", "1"]),
-           vector(["1", "1", "-1"]), vector(["2", "-1", "0"])],
+           vector(["1", "1", "-1"]), vector(["2", "-1", "0"])], [vector(["0", "0", "0"])],
           GramForm.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])))
+# a tetrahedron around the translated origin: its closest point is reached
+# only on a support of four points, a chain of three elimination rows
+@example(([vector(["1", "0", "0"]), vector(["0", "1", "0"]), vector(["0", "0", "1"]),
+           vector(["-1", "-1", "-1"]), vector(["2", "2", "2"])],
+          [vector(["0", "0", "0"]), vector(["1/4", "-1/4", "0"]), vector(["-3", "0", "0"])],
+          GramForm.identity(3)))
 def test_numeric_min_norm_matches_the_fraction_search(problem):
-    vertices, q = problem
-    got = numeric_min_norm(vertices, q)
-    assert got == reference_min_norm(vertices, q)
-    assert all(type(x) is F for x in got)
+    vertices, shifts, q = problem
+    got = numeric_min_norm(vertices, shifts, q)
+    assert got == [reference_min_norm([vec_add(v, t) for v in vertices], q) for t in shifts]
+    assert all(type(x) is F for point in got for x in point)
+
+
+def test_one_search_per_flat_and_one_solve_per_non_vertex_point(monkeypatch):
+    # every eps of a flat shares one support walk; solve_exact re-solves
+    # only a winning support of two or more vertices
+    searches, solves = [], []
+
+    def counted_search(vertices, shifts, q, cap):
+        points = numeric_min_norm(vertices, shifts, q, cap)
+        searches.append(sum(p not in {vec_add(v, t) for v in vertices} for p, t in zip(points, shifts)))
+        return points
+
+    def counted_solve(rows, rhs):
+        solves.append(rows)
+        return solve_exact(rows, rhs)
+
+    monkeypatch.setattr(knx.oracle, "numeric_min_norm", counted_search)
+    monkeypatch.setattr(knx.oracle, "solve_exact", counted_solve)
+    p = cherednik_preset(2)
+    config = OracleConfig(epsilon_values=(F(-1, 2**20), F(-1, 2**24)))
+    report = cross_check_enumeration(p.weights, p.chi, p.group, config)
+    assert report.agreed, report.mismatches
+    assert len(searches) == report.subsets_checked == 5
+    # both kinds occur: 2 flats end at a vertex and 3 inside a face
+    assert len(solves) == sum(searches) == 6
+
+
+def test_a_disagreeing_re_solve_is_an_internal_inconsistency(monkeypatch):
+    # the winner of (0,0)-(1,1) shifted by (0,-1) lies inside the segment,
+    # so its support is re-solved, here to a wrong point
+    monkeypatch.setattr(knx.oracle, "solve_exact", lambda rows, rhs: (1, (0,) * len(rows)))
+    with pytest.raises(InternalInconsistency):
+        numeric_min_norm([vector(["0", "0"]), vector(["1", "1"])], [vector(["0", "-1"])], Q2)
 
 
 def test_oracle_config_validation():

@@ -18,6 +18,17 @@ def test_rat_parsing():
         rat(1.5)
     with pytest.raises(InvalidParameter):
         rat("1/0")
+    for bad in ("1/02", "1 /2", "/2", "1/", "1/-2", "1_000", "1e3", ""):
+        with pytest.raises(InvalidParameter, match="not a rational string"):
+            rat(bad)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.from_regex(r"\s*[+-]?\d+(/[1-9]\d*)?\s*", fullmatch=True))
+def test_rat_agrees_with_the_fraction_parser(text):
+    # the match's groups are converted by int(): the same value as
+    # Fraction's own parser, for every string the grammar accepts
+    assert rat(text) == F(text.strip())
 
 
 def test_rat_str_roundtrip():

@@ -181,7 +181,7 @@ def test_span_dedup_matches_full_subset_enumeration():
 
     from knx.groups import primitive_rescale
     from knx.oracle import numeric_min_norm
-    from knx.scalars import is_zero_vector, vec_add, vec_neg, vec_scale, vec_zero
+    from knx.scalars import is_zero_vector, vec_neg, vec_scale, vec_zero
 
     eps0 = F(-1, 2**20)
     for seed in range(30):
@@ -193,8 +193,8 @@ def test_span_dedup_matches_full_subset_enumeration():
         brute_semistable = False
         for size in range(len(distinct) + 1):
             for combo in combinations(distinct, size):
-                verts = [vec_add(w, vec_scale(eps0, lam)) for w in (zero,) + combo]
-                v = vec_scale(1 / eps0, numeric_min_norm(verts, p.group.form))
+                (point,) = numeric_min_norm([zero, *combo], [vec_scale(eps0, lam)], p.group.form)
+                v = vec_scale(1 / eps0, point)
                 if is_zero_vector(v):
                     brute_semistable = True
                 else:
