@@ -16,7 +16,8 @@ completely and are re-checked in integers: the coefficients of p are >= 0,
 q(w, v) <= 0 for every weight w of the set, and q(p, v) = 0.  The
 projection keeps that integer certificate; v, p, the coefficients and the
 pairings become Fractions only when they are read.  Within the solve, the
-passive coefficients and step lengths are still Fractions.
+coefficients are integers over one common denominator, and the step
+lengths are compared by cross-multiplication.
 
 The defining support of p is read off the solve, not searched for: the
 members with a coefficient > 0, its final passive set, are independent
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from .errors import InternalInconsistency
@@ -58,14 +60,20 @@ class GramTable:
     rhs: tuple[int, ...]
 
 
-def gram_table(weights: Sequence[Vector], chi: Vector, q: GramForm) -> GramTable:
-    weight_scale, int_weights = clear_denominators(weights)
+def gram_table(
+    weights: Sequence[Vector],
+    chi: Vector,
+    q: GramForm,
+    cleared: tuple[int, Sequence[IntVector]] | None = None,
+) -> GramTable:
+    """``cleared`` is ``clear_denominators(weights)``, for a caller that has it."""
+    weight_scale, int_weights = clear_denominators(weights) if cleared is None else cleared
     chi_scale, (int_chi,) = clear_denominators([chi])
     form_scale, int_form = q.cleared
     covectors = tuple(tuple(dot(row, w) for row in int_form) for w in int_weights)
     gram = tuple(tuple(dot(c, w) for w in int_weights) for c in covectors)
     rhs = tuple(dot(c, int_chi) for c in covectors)
-    return GramTable(tuple(weights), int_weights, int_chi, covectors,
+    return GramTable(tuple(weights), tuple(int_weights), int_chi, covectors,
                      weight_scale, chi_scale, form_scale, gram, rhs)
 
 
@@ -120,11 +128,10 @@ def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
     members = tuple(members)
     gram = [[table.gram[i][j] for j in members] for i in members]
     rhs = [table.rhs[i] for i in members]
-    coeffs: list[Fraction | int] = [0] * len(members)
     passive: list[int] = []
     # the coefficients are ks/den over one common denominator, and dual is
     # den times the pairings of the weights with the residual X - P
-    ks, den = list(coeffs), 1
+    ks, den = [0] * len(members), 1
     dual = list(rhs)
     while True:
         entering = [k for k in range(len(members)) if k not in passive and dual[k] > 0]
@@ -136,17 +143,27 @@ def min_norm_point(table: GramTable, members: Sequence[int]) -> ConeProjection:
                               [rhs[i] for i in passive])
             if sol is None:
                 raise InternalInconsistency("the passive weights became linearly dependent")
-            z = [Fraction(k, sol[0]) for k in sol[1]]
-            if all(x > 0 for x in z):
-                for k, x in zip(passive, z):
-                    coeffs[k] = x
+            zden, zs = sol
+            if all(x > 0 for x in zs):
+                ks, den = [0] * len(members), zden
+                for k, x in zip(passive, zs):
+                    ks[k] = x
                 break
-            # step from coeffs towards z until the first coefficient hits 0
-            step = min(coeffs[k] / (coeffs[k] - x) for k, x in zip(passive, z) if x <= 0)
-            for k, x in zip(passive, z):
-                coeffs[k] += step * (x - coeffs[k])
-            passive = [k for k in passive if coeffs[k] > 0]
-        den, (ks,) = clear_denominators([coeffs])
+            # step from ks/den towards zs/zden until the first coefficient
+            # hits 0: t = K zden / (K zden - x den), compared crosswise
+            tn, td = 1, 0
+            for k, x in zip(passive, zs):
+                if x <= 0:
+                    a, b = ks[k] * zden, ks[k] * zden - x * den
+                    if td == 0 or a * td < tn * b:
+                        tn, td = a, b
+            # ks/den + t (zs/zden - ks/den) over the denominator den zden td
+            for k, x in zip(passive, zs):
+                ks[k] = ks[k] * zden * (td - tn) + tn * x * den
+            den *= zden * td
+            g = gcd(den, *ks)
+            ks, den = [k // g for k in ks], den // g
+            passive = [k for k in passive if ks[k] > 0]
         dual = [den * r - dot(row, ks) for r, row in zip(rhs, gram)]
     return _certify(table, members, ks, den)
 

@@ -7,10 +7,10 @@ weight system caches its cleared weights, the group its cleared roots and
 projection, the stratum signs, the shifts and the invariance checks pair
 those tables in Python ints.  Fractions are still built where a value is
 parsed or reported (a ``ConeProjection`` builds its Fraction fields only
-when they are read), for c(beta) through ``GramForm.apply``, and in the
-step lengths of the cone solve.  The infinitesimal perturbation of the
-weight hulls never needs its own arithmetic: the closest point of a
-perturbed hull is exactly eps*v for a rational vector v (see ``convex``).
+when they are read) and for c(beta) through ``GramForm.apply``.  The
+infinitesimal perturbation of the weight hulls never needs its own
+arithmetic: the closest point of a perturbed hull is exactly eps*v for a
+rational vector v (see ``convex``).
 """
 
 from __future__ import annotations
@@ -59,14 +59,6 @@ Vector = tuple[Fraction, ...]
 
 def vector(entries: Iterable) -> Vector:
     return tuple(rat(e) for e in entries)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_neg(u: Vector) -> Vector:
@@ -141,12 +133,12 @@ class GramForm:
         """q*v, so that q(u, v) is the dot product of u with it."""
         if len(v) != self.rank:
             raise InvalidParameter("vector length does not match form rank")
-        if self._is_identity:  # every preset's form: q*v is v
+        if self.is_identity:  # every preset's form: q*v is v
             return tuple(v)
         return tuple(sum(r * v[j] for j, r in row) for row in self._sparse_rows)
 
     @cached_property
-    def _is_identity(self) -> bool:
+    def is_identity(self) -> bool:
         return all(row == ((i, 1),) for i, row in enumerate(self._sparse_rows))
 
     def norm2(self, v: Vector) -> Fraction:

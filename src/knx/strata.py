@@ -10,6 +10,28 @@ Subsets are deduplicated by the span of their weights: if J is a minimal
 support of the optimum for any subset, the optimum is also the optimum of
 the maximal subset with span(J), so evaluating one maximal subset per span
 (a flat) finds every stratum and every semistable witness.
+
+The full walk visits every flat, and the oracle re-solves each of them.
+``enumerate_kn`` needs one flat per Weyl orbit, since v(wF) = w v(F) when
+W permutes the weights and fixes chi and q; it walks the orbits when the
+problem is graphic, which ``_graphic`` checks on the integer table:
+(a) W is not trivial and q is the identity; (b) every simple root is a
+positive multiple of e_a - e_b, so W permutes the coordinates within the
+classes, the components of the simple-root graph; (c) every distinct
+nonzero weight is a multiple of e_i - e_j or of e_i; (d) every simple
+transposition maps the distinct nonzero weights onto themselves, and chi
+is constant on each class.  Read e_i as e_i - e_0 for a ground vertex 0:
+the weights are then the edges of a graph on {0, ..., n}, and the flats
+are the partitions of its vertices into connected blocks (Oxley, *Matroid
+Theory*, ch. 1).  The coordinates of one class are twins in that graph,
+so the orbit of a flat is the multiset of its block types (the count of
+each class in a block, and whether it holds 0), and whether a block is
+connected depends on its type only.  Of each orbit the walk solves the
+flat the full walk meets first (``_least_string``), and it visits those
+flats in the full walk's order: by rank, then by reduced row echelon
+form.  So each stratum is reported from the flat, direction and defining
+support the full walk reports it from.  A problem that is not graphic
+takes the full walk.
 """
 
 from __future__ import annotations
@@ -17,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -28,7 +51,7 @@ from .convex import (
     gram_table,
     min_norm_point,
 )
-from .errors import CapExceeded, InvalidParameter
+from .errors import CapExceeded, InternalInconsistency, InvalidParameter
 from .groups import GroupData, TorusCharacter, weyl_canonicalize
 from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend
 from .scalars import Vector, vec_neg, vector
@@ -125,6 +148,7 @@ def span_candidates(
     chi: TorusCharacter,
     group: GroupData,
     cap: int = DEFAULT_VERTEX_CAP,
+    orbits: bool = False,
 ) -> Iterator[tuple[GramTable, ConeProjection]]:
     """Yield (pairing table, certified cone projection) per distinct span.
 
@@ -132,7 +156,9 @@ def span_candidates(
     flat; a projection's members are the table weights in its flat.  The
     origin is an implicit vertex of every flat.  The same generator feeds
     both the symbolic enumeration and the concrete-eps oracle, which
-    re-solves each flat independently.
+    re-solves each flat independently.  With ``orbits`` a graphic problem
+    yields only the flat of each Weyl orbit that the full walk meets first,
+    in the full walk's order (see the module docstring).
     """
     if len(chi.vec) != ws.rank or group.rank != ws.rank:
         raise InvalidParameter("weights, character and group rank disagree")
@@ -144,7 +170,13 @@ def span_candidates(
         raise CapExceeded(f"{len(distinct)} distinct weights exceed the cap of {cap}")
     nonzero = [w for w in distinct if any(w)]
     vectors = dict(zip(ints, ws.stratify_weights))
-    table = gram_table([vectors[w] for w in nonzero], chi.vec, group.form)
+    # the distinct nonzero +-w have the denominators of the w: one scale
+    table = gram_table([vectors[w] for w in nonzero], chi.vec, group.form,
+                       (ws.cleared[0], nonzero))
+    graph = _graphic(table, group) if orbits else None
+    if graph is not None:
+        yield from _orbit_walk(table, *graph)
+        return
 
     # breadth-first over the canonical integer bases of the spans (each its
     # own key), one rank per level, each level in the order of the spans'
@@ -170,6 +202,191 @@ def span_candidates(
         level = rref_sorted(found)
 
 
+def _graphic(table: GramTable, group: GroupData) -> tuple[list[int], list[tuple[int, int]]] | None:
+    """(the class of each coordinate, the edge of each table weight) when
+    (a)-(d) of the module docstring hold, else None.  Vertex 0 is the
+    ground and coordinate i is vertex i + 1."""
+    if not group.simple_roots or not group.form.is_identity:
+        return None
+    kinds = list(range(group.rank))
+    swaps = []
+    for s, _, _ in group.reflections:
+        ends = [i for i, x in enumerate(s) if x]
+        if len(ends) != 2 or s[ends[0]] != -s[ends[1]]:
+            return None
+        a, b = ends
+        swaps.append((a, b))
+        kinds = [kinds[a] if k == kinds[b] else k for k in kinds]
+    edges = []
+    for w in table.int_weights:
+        ends = [i for i, x in enumerate(w) if x]
+        if len(ends) == 1:
+            edges.append((0, ends[0] + 1))
+        elif len(ends) == 2 and w[ends[0]] == -w[ends[1]]:
+            edges.append((ends[0] + 1, ends[1] + 1))
+        else:
+            return None
+    weights = set(table.int_weights)
+    for a, b in swaps:
+        if table.int_chi[a] != table.int_chi[b]:
+            return None
+        for w in table.int_weights:
+            if w[a] != w[b]:
+                swapped = list(w)
+                swapped[a], swapped[b] = w[b], w[a]
+                if tuple(swapped) not in weights:
+                    return None
+    return kinds, edges
+
+
+def _orbit_walk(
+    table: GramTable, kinds: list[int], edges: list[tuple[int, int]]
+) -> Iterator[tuple[GramTable, ConeProjection]]:
+    """The certified projection of one flat per Weyl orbit: the flat the
+    full walk meets first, in the order of the full walk."""
+    n = len(kinds)
+    neighbours: list[set[int]] = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    # a coordinate without edges is a block of its own in every flat, and
+    # the order of the flats is the order on the other coordinates
+    active = [y for y in range(n) if neighbours[y + 1]]
+    labels: dict[int, int] = {}
+    active_kinds = [labels.setdefault(kinds[y], len(labels)) for y in active]
+    classes = [[y + 1 for y, k in zip(active, active_kinds) if k == c] for c in range(len(labels))]
+    sizes = tuple(map(len, classes))
+
+    def connected(ground: bool, counts: tuple[int, ...]) -> bool:
+        # the first vertices of each class stand for any: they are twins
+        block = {0} if ground else set()
+        for vertices, k in zip(classes, counts):
+            block.update(vertices[:k])
+        reached = {min(block)}
+        stack = list(reached)
+        while stack:
+            new = neighbours[stack.pop()] & block - reached
+            reached |= new
+            stack.extend(new)
+        return reached == block
+
+    counts = list(product(*(range(k + 1) for k in sizes)))
+    # the types of the blocks without 0, in decreasing order
+    parts = [c for c in reversed(counts) if any(c) and connected(False, c)]
+
+    def multisets(rest: tuple[int, ...], first: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if not any(rest):
+            yield ()
+            return
+        # the largest part holds the first class left; the block of one of
+        # each class completes any rest, so no branch is a dead end
+        lead = next(c for c, r in enumerate(rest) if r)
+        for i in range(first, len(parts)):
+            if parts[i][lead] and all(k <= r for k, r in zip(parts[i], rest)):
+                left = tuple(r - k for r, k in zip(rest, parts[i]))
+                for tail in multisets(left, i):
+                    yield (parts[i],) + tail
+
+    # ascending rank (most blocks first), then as the full walk orders a level
+    least = _least_string(active_kinds, len(labels))
+    flats = sorted((-len(tail), least(0, (), tail, ground))
+                   for ground in counts if connected(True, ground)
+                   for tail in multisets(tuple(s - k for s, k in zip(sizes, ground)), 0))
+    # the block of each vertex, named by its largest coordinate; n for 0's
+    names = active + [n]
+    for _, string in flats:
+        block = [n, *range(n)]
+        for y, m in zip(active, string):
+            block[y + 1] = y if m < 0 else names[m]
+        members = [i for i, (u, v) in enumerate(edges) if block[u] == block[v]]
+        yield table, min_norm_point(table, members)
+
+
+_Open = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _least_string(kinds: Sequence[int], classes: int):
+    """least(0, (), parts, ground) is the flat of the orbit with block types
+    ``ground`` (the block of 0) and ``parts`` that the full walk meets
+    first, as its string s: s[x] is -1 when x is the largest coordinate of
+    a block without 0, that largest coordinate when x is smaller, and n
+    when x is in the block of 0.
+
+    A level of the full walk is ordered by the reduced row echelon forms of
+    the spans.  There a block without 0 has the rows e_x - e_m for its
+    largest coordinate m and its other x, and the block of 0 the rows e_x;
+    so the rows compare as the strings do, a coordinate without a row
+    first.  The least string is built coordinate by coordinate, each time
+    the least s[x] after which the blocks opened so far can still be
+    completed, which is checked class by class, earliest deadline first.
+    Only blocks of two types that both close at the same m tie.  A state is
+    the next coordinate x, the opened blocks (m, the counts they still
+    need), the types not opened and the counts the block of 0 still needs."""
+    n = len(kinds)
+    units = [tuple(int(i == c) for i in range(classes)) for c in range(classes)]
+    memo: dict[tuple, tuple[int, ...]] = {}
+
+    def completable(x: int, opened: _Open) -> bool:
+        # each opened block needs its other members in x .. m - 1
+        reserved = {m for m, _ in opened}
+        free = [0] * classes
+        need = [0] * classes
+        y = x
+        for m, needs in opened:
+            for y in range(y, m):
+                if y not in reserved:
+                    free[kinds[y]] += 1
+            y = m
+            for c, k in enumerate(needs):
+                need[c] += k - (kinds[m] == c)
+                if need[c] > free[c]:
+                    return False
+        return True
+
+    def placements(x: int, opened: _Open, pool: tuple, left: tuple[int, ...]):
+        # per symbol s[x], ascending: the states after placing x
+        c = kinds[x]
+        one = units[c]
+        if one in pool:
+            yield -1, [(opened, _without(pool, one), left)]
+        closing = {m: i for i, (m, _) in enumerate(opened)}
+        types = [(t, tuple(k - d for k, d in zip(t, one))) for t in dict.fromkeys(pool) if t[c]]
+        for m in range(x + 1, n):
+            if m in closing:
+                i = closing[m]
+                needs = opened[i][1]
+                if needs[c] > (kinds[m] == c):
+                    moved = (m, tuple(k - d for k, d in zip(needs, one)))
+                    yield m, [(opened[:i] + (moved,) + opened[i + 1:], pool, left)]
+            else:
+                yield m, [(tuple(sorted(opened + ((m, rest),))), _without(pool, t), left)
+                          for t, rest in types if rest[kinds[m]]]
+        if left[c]:
+            yield n, [(opened, pool, tuple(k - d for k, d in zip(left, one)))]
+
+    def least(x: int, opened: _Open, pool: tuple, left: tuple[int, ...]) -> tuple[int, ...]:
+        if x == n:
+            return ()
+        state = (x, opened, pool, left)
+        if state not in memo:
+            if opened and opened[0][0] == x:  # x closes the block reserved for it
+                memo[state] = (-1,) + least(x + 1, opened[1:], pool, left)
+            else:
+                for symbol, options in placements(*state):
+                    tails = [least(x + 1, *o) for o in options if completable(x + 1, o[0])]
+                    if tails:
+                        memo[state] = (symbol,) + min(tails)
+                        break
+        return memo[state]
+
+    return least
+
+
+def _without(pool: tuple, t: tuple[int, ...]) -> tuple:
+    i = pool.index(t)
+    return pool[:i] + pool[i + 1:]
+
+
 def enumerate_kn(
     ws: WeightSystem,
     chi: TorusCharacter,
@@ -189,7 +406,7 @@ def enumerate_kn(
     # per table index its first stratify weight, once the table is known
     index: list[int | None] = []
     first: dict[int, int] = {}
-    for table, proj in span_candidates(ws, chi, group, cap):
+    for table, proj in span_candidates(ws, chi, group, cap, orbits=True):
         v = proj.int_direction
         if not any(v):
             semistable = True

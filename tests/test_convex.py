@@ -10,8 +10,9 @@ from knx.convex import ConeProjection, cone_support, gram_table, min_norm_point
 from knx.errors import CapExceeded, InternalInconsistency
 from knx.groups import TorusCharacter, torus
 from knx.oracle import numeric_min_norm
-from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vec_zero, vector
+from knx.scalars import GramForm, vec_scale, vec_zero, vector
 from knx.strata import span_candidates, weight_system
+from vectors import vec_add, vec_sub
 
 Q2 = GramForm.identity(2)
 EPS0 = F(-1, 2**20)

@@ -20,7 +20,8 @@ from knx.groups import (
     weyl_canonicalize,
 )
 from knx.linalg import clear_denominators
-from knx.scalars import vec_scale, vec_sub, vector
+from knx.scalars import vec_scale, vector
+from vectors import vec_sub
 
 # B2: simple roots e1 - e2 (long) and e2 (short), the reflection in e2
 # negates the second coordinate

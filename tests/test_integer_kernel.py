@@ -15,15 +15,16 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knx.convex import cone_support
+from knx.convex import cone_support, gram_table
 from knx.engine import cherednik_preset
 from knx.errors import InternalInconsistency
 from knx.groups import TorusCharacter, group_data
 from knx.oracle import random_problem
-from knx.scalars import is_zero_vector, vec_add, vec_scale, vec_sub, vec_zero
+from knx.scalars import is_zero_vector, vec_scale, vec_zero
 from knx.strata import WeightSystem, span_candidates
 
 from test_linalg import ref_rank, ref_solve
+from vectors import vec_add, vec_sub
 
 # -- reference: the Fraction kernel -----------------------------------------
 
@@ -154,11 +155,20 @@ def _cherednik(n):
     return p.weights, p.chi, p.group
 
 
+def _raw(rank, count, seed):
+    # raw random problems whose cone solves step back three times from a
+    # coefficient that turned nonpositive
+    p = random_problem(rank, count, seed)
+    return WeightSystem(p.weights.w_weights, "raw"), p.chi, p.group
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(_rational_random_problems())
 @example(_cherednik(2))
 @example(_cherednik(3))
 @example(_cherednik(4))
+@example(_raw(3, 6, 55))
+@example(_raw(3, 6, 159))
 def test_integer_kernel_matches_the_fraction_reference(problem):
     ws, chi, group = problem
     got = list(span_candidates(ws, chi, group))
@@ -187,3 +197,15 @@ def test_defining_support_is_an_independent_face_set_carrying_the_projection(pro
             assert group.form.apply(table.weights[i], proj.direction) == 0
             p = vec_add(p, vec_scale(coefficient[i], table.weights[i]))
         assert p == proj.projection
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_rational_random_problems())
+@example(_cherednik(3))
+def test_the_shared_table_is_the_table_of_its_fraction_weights(problem):
+    # span_candidates hands gram_table the weight system's cleared integers,
+    # on its least common denominator; clearing the table's distinct
+    # nonzero weights again gives the same scale and the same integers
+    ws, chi, group = problem
+    table, _ = next(span_candidates(ws, chi, group))
+    assert table == gram_table(table.weights, chi.vec, group.form)

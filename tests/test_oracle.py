@@ -23,9 +23,10 @@ from knx.oracle import (
 from knx.engine import cherednik_preset
 from knx.groups import weyl_canonicalize
 from knx.linalg import solve_exact
-from knx.scalars import GramForm, vec_add, vec_scale, vec_sub, vector
+from knx.scalars import GramForm, vec_scale, vector
 from knx.strata import enumerate_kn, weight_system
 from test_linalg import ref_rank, ref_solve
+from vectors import vec_add, vec_sub
 
 Q1 = GramForm.identity(1)
 Q2 = GramForm.identity(2)
@@ -92,9 +93,22 @@ FORMS = {
 COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def _spans_the_space(points):
+    return ref_rank([vec_sub(p, points[0]) for p in points[1:]]) == len(points[0])
+
+
 @st.composite
 def hull_problems(draw):
     name = draw(st.sampled_from(sorted(FORMS)))
+    if name != "off-diagonal" and draw(st.booleans()):
+        # four or five points spanning R^3, translated by minus their
+        # centroid: the origin lies inside the hull, where a support of four
+        # points wins
+        coord = st.integers(-3, 3).map(F)
+        points = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=5).filter(
+            _spans_the_space))
+        centroid = vec_scale(F(-1, len(points)), reduce(vec_add, points))
+        return points, [centroid], FORMS[name](3)
     dim = 2 if name == "off-diagonal" else draw(st.integers(1, 3))
     base = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=1, max_size=4))
     # p_i + s (p_j - p_i) + t (p_k - p_i): a duplicate when s = t = 0,

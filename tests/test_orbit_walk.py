@@ -1,0 +1,209 @@
+"""The orbit walk of ``span_candidates(..., orbits=True)`` against the full
+walk: the same ``KNResult`` from one flat per Weyl orbit, the orbit count,
+and the fall back to the full walk when a problem is not graphic."""
+
+import time
+from fractions import Fraction as F
+from itertools import permutations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import knx.strata
+from knx.engine import cherednik_preset
+from knx.groups import TorusCharacter, gl, group_data, torus
+from knx.groups import product as group_product
+from knx.problemfile import load_problem
+from knx.strata import WeightSystem, enumerate_kn, span_candidates, weight_system
+
+FULL_WALK = knx.strata.span_candidates
+UNCAPPED = 10**6
+
+
+def _full_walk(monkeypatch):
+    # every flat, whatever enumerate_kn asks for
+    def full(ws, chi, group, cap, orbits=False):
+        return FULL_WALK(ws, chi, group, cap)
+
+    monkeypatch.setattr(knx.strata, "span_candidates", full)
+
+
+def _both_walks(monkeypatch, ws, chi, group, orientation):
+    orbit = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
+    with monkeypatch.context() as m:
+        _full_walk(m)
+        full = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
+    return orbit, full
+
+
+def _unit(n, pairs):
+    w = [F(0)] * n
+    for i, x in pairs:
+        w[i] += x
+    return tuple(w)
+
+
+def quiver(dims, arrows, framing):
+    """The product of the gl(d_i) on the representations of a framed
+    quiver, chi = det on each vertex: the weights e_h - e_t of each arrow
+    t -> h and f_i copies of the e_j of vertex i."""
+    offsets = [sum(dims[:i]) for i in range(len(dims))]
+    n = sum(dims)
+    weights = [_unit(n, [(offsets[h] + i, 1), (offsets[t] + j, -1)])
+               for t, h in arrows for i in range(dims[h]) for j in range(dims[t])]
+    weights += [_unit(n, [(offsets[v] + i, 1)])
+                for v, f in enumerate(framing) for _ in range(f) for i in range(dims[v])]
+    return (WeightSystem(tuple(weights)), TorusCharacter((F(1),) * n),
+            group_product([gl(d) for d in dims]))
+
+
+GL3_GL3 = quiver([3, 3], [(0, 1)], [1, 0])
+CYCLIC_3_2 = quiver([2, 2, 2], [(0, 1), (1, 2), (2, 0)], [1, 0, 0])
+
+
+@pytest.mark.parametrize("orientation", ["negative", "positive", "both"])
+def test_orbit_walk_reports_the_full_walk_on_the_presets_and_quivers(monkeypatch, orientation):
+    problems = [cherednik_preset(n) for n in range(1, 7)]
+    cases = [(p.weights, p.chi, p.group) for p in problems] + [GL3_GL3, CYCLIC_3_2]
+    for ws, chi, group in cases:
+        orbit, full = _both_walks(monkeypatch, ws, chi, group, orientation)
+        assert orbit == full, group.label
+    assert [len(enumerate_kn(*q, orientation, UNCAPPED).strata) for q in (GL3_GL3, CYCLIC_3_2)] == [12, 18]
+
+
+@st.composite
+def graphic_problems(draw):
+    # a product of gl's, each pair of classes (and each class with the
+    # ground) joined by all its edges or by none, in one or both signs and
+    # with a multiple, chi constant on each class
+    # at most 5 coordinates: B(6) = 203 flats for the full walk
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda s: max(s) > 1 and sum(s) <= 5))
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    n = sum(sizes)
+    classes = [range(o, o + s) for o, s in zip(offsets, sizes)]
+    signs = st.sampled_from([(1,), (-1,), (1, -1), (2,), (1, 2)])
+    weights = []
+    for k, l in [(k, l) for k in range(len(sizes)) for l in range(k, len(sizes))]:
+        if draw(st.booleans()):
+            for s in draw(signs) if k != l else (draw(st.integers(1, 2)),):
+                weights += [_unit(n, [(a, s), (b, -s)]) for a in classes[k] for b in classes[l] if a != b]
+    for k in range(len(sizes)):
+        if draw(st.booleans()):
+            weights += [_unit(n, [(a, s)]) for s in draw(signs) for a in classes[k]]
+    weights = weights or [_unit(n, [(0, 1)])]
+    chi = [F(c) for c, s in zip(draw(st.lists(st.integers(-2, 2), min_size=len(sizes),
+                                              max_size=len(sizes))), sizes) for _ in range(s)]
+    mode = draw(st.sampled_from(["cotangent", "raw"]))
+    return (WeightSystem(tuple(weights), mode), TorusCharacter(tuple(chi)),
+            group_product([gl(s) for s in sizes]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(graphic_problems(), st.sampled_from(["negative", "positive", "both"]))
+def test_orbit_walk_reports_the_full_walk_on_graphic_problems(problem, orientation):
+    ws, chi, group = problem
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        orbit, full = _both_walks(monkeypatch, ws, chi, group, orientation)
+    assert orbit == full
+
+
+def test_classes_without_edges_stay_blocks_of_one(monkeypatch):
+    # gl(2) x gl(1)^30 with the one weight e1 - e2: 31 classes, whose types
+    # would number 3 * 2^30 if the 30 coordinates without an edge spanned any
+    n = 32
+    ws = WeightSystem((_unit(n, [(0, 1), (1, -1)]),))
+    chi = TorusCharacter((F(1),) * n)
+    group = group_product([gl(2)] + [gl(1)] * 30)
+    start = time.perf_counter()
+    orbit, full = _both_walks(monkeypatch, ws, chi, group, "negative")
+    assert time.perf_counter() - start < 2
+    assert orbit == full and _orbit_count(ws, chi, group) == 2
+
+
+def _partition_counts(n):
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return p
+
+
+def _orbit_count(ws, chi, group):
+    return sum(1 for _ in span_candidates(ws, chi, group, UNCAPPED, orbits=True))
+
+
+def test_gl_n_has_one_flat_per_block_around_0_and_partition_of_the_rest():
+    p = _partition_counts(12)
+    for n in range(2, 13):
+        problem = cherednik_preset(n)
+        assert _orbit_count(problem.weights, problem.chi, problem.group) == sum(p[:n + 1]), n
+
+
+def _weyl_group(group):
+    # every permutation within the classes of a product of gl's
+    blocks, offset = [], 0
+    for label in group.label.split("x"):
+        size = int(label[3:-1])
+        blocks.append(range(offset, offset + size))
+        offset += size
+    for choice in product(*(permutations(b) for b in blocks)):
+        yield [x for perm in choice for x in perm]
+
+
+def _burnside_count(ws, chi, group):
+    # the mean number of flats each Weyl element fixes
+    flats = {frozenset(table.int_weights[i] for i in proj.members)
+             for table, proj in span_candidates(ws, chi, group, UNCAPPED)}
+    elements = list(_weyl_group(group))
+    fixed = sum(frozenset(tuple(w[x] for x in sigma) for w in flat) == flat
+                for sigma in elements for flat in flats)
+    assert fixed % len(elements) == 0
+    return fixed // len(elements)
+
+
+def test_orbit_count_is_the_burnside_count():
+    mixed = quiver([2, 3], [(0, 1), (1, 0)], [0, 1])
+    problems = [cherednik_preset(n) for n in (2, 3, 4, 5)]
+    cases = [(p.weights, p.chi, p.group) for p in problems] + [GL3_GL3, CYCLIC_3_2, mixed]
+    for ws, chi, group in cases:
+        assert _orbit_count(ws, chi, group) == _burnside_count(ws, chi, group), group.label
+
+
+def _walks(ws, chi, group):
+    orbit = list(span_candidates(ws, chi, group, UNCAPPED, orbits=True))
+    return orbit, list(span_candidates(ws, chi, group, UNCAPPED))
+
+
+GL2_WEIGHTS = [["0", "0"], ["1", "-1"], ["-1", "1"], ["0", "0"], ["1", "0"], ["0", "1"]]
+ONES = TorusCharacter((F(1), F(1)))
+
+
+def test_the_gl2_preset_takes_the_orbit_walk():
+    orbit, full = _walks(weight_system(GL2_WEIGHTS), ONES, gl(2))
+    assert (len(orbit), len(full)) == (4, 5)
+
+
+@pytest.mark.parametrize("case", ["torus", "form", "root", "weights", "unstable", "chi"])
+def test_a_problem_that_is_not_graphic_takes_the_full_walk(monkeypatch, golden_dir, case):
+    ws, chi, group = weight_system(GL2_WEIGHTS), ONES, gl(2)
+    roots = [["1", "-1"], ["-1", "1"]]
+    if case == "torus":  # (a): W is trivial
+        group = torus(2)
+    elif case == "form":  # (a): q is not the identity
+        group = group_data(2, roots, [roots[0]], [["2", "0"], ["0", "2"]])
+    elif case == "root":  # (b): the short simple root e2 of B2
+        p = load_problem(golden_dir / "b2xgl1.json")
+        ws, chi, group = p.weights, p.chi, p.group
+    elif case == "weights":  # (c): e1 + e2 is no edge
+        ws = weight_system(GL2_WEIGHTS + [["1", "1"]])
+    elif case == "unstable":  # (d): the swap does not map e1 to a weight
+        ws = weight_system([["1", "-1"], ["1", "0"]], "raw")
+    else:  # (d): chi is not constant on the class
+        chi = TorusCharacter((F(1), F(0)))
+    orbit, full = _walks(ws, chi, group)
+    assert orbit == full
+    for orientation in ("negative", "positive", "both"):
+        orbit, full = _both_walks(monkeypatch, ws, chi, group, orientation)
+        assert orbit == full

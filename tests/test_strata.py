@@ -210,7 +210,7 @@ def test_span_certificates_pair_equally_on_support():
     # weight of the flat pairs nonpositively with v (checked here over a
     # golden problem, in addition to the certificate inside the solver)
     from knx.convex import cone_support
-    from knx.scalars import vec_sub
+    from vectors import vec_sub
     from knx.strata import span_candidates
 
     ws = weight_system(
@@ -243,23 +243,28 @@ def test_weight_cap():
 
 
 @pytest.mark.parametrize("orientation", ["negative", "positive"])
-def test_one_weyl_canonicalization_per_new_direction(monkeypatch, orientation):
+def test_one_weyl_canonicalization_per_new_direction(monkeypatch, golden_dir, orientation):
     # either sign's orbit determines the other's, so each distinct nonzero
-    # direction costs one canonicalization, whatever the orientation
+    # direction of the walk enumerate_kn takes costs one canonicalization,
+    # whatever the orientation: the orbit walk on the gl(3) preset, the
+    # full walk on B2 x gl(1)
     import knx.strata
     from knx.engine import cherednik_preset
+    from knx.problemfile import load_problem
     from knx.scalars import is_zero_vector
     from knx.strata import span_candidates
 
-    p = cherednik_preset(3)
-    directions = {proj.direction for _, proj in span_candidates(p.weights, p.chi, p.group)}
-    calls = []
+    for p, orbits in ((cherednik_preset(3), True), (load_problem(golden_dir / "b2xgl1.json"), False)):
+        walk = span_candidates(p.weights, p.chi, p.group, p.cap, orbits=orbits)
+        directions = {proj.direction for _, proj in walk}
+        calls = []
 
-    def counted(v, group):
-        calls.append(v)
-        return weyl_canonicalize(v, group)
+        def counted(v, group):
+            calls.append(v)
+            return weyl_canonicalize(v, group)
 
-    monkeypatch.setattr(knx.strata, "weyl_canonicalize", counted)
-    result = enumerate_kn(p.weights, p.chi, p.group, orientation)
-    assert len(calls) == len([v for v in directions if not is_zero_vector(v)])
-    assert all(s.beta in calls for s in result.strata)
+        monkeypatch.setattr(knx.strata, "weyl_canonicalize", counted)
+        result = enumerate_kn(p.weights, p.chi, p.group, orientation, p.cap)
+        monkeypatch.undo()
+        assert len(calls) == len([v for v in directions if not is_zero_vector(v)])
+        assert all(s.beta in calls for s in result.strata)

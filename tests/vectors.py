@@ -1,0 +1,11 @@
+"""Fraction vector sums for the reference computations of the tests."""
+
+from knx.scalars import Vector
+
+
+def vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u: Vector, v: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
