@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -36,7 +36,8 @@ class GroupData:
     def int_roots(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
         """(d, the nonzero (i, d*r_i) of each root r) for the least d > 0 that
         clears them: a gl(n) root has two nonzero entries of n, so pairing
-        one vector with every root is O(n^2), not O(n^3)."""
+        one vector with every root is O(n^2), not O(n^3).  ``gl`` and ``sl``
+        hand it over built; other groups scan their dense roots once."""
         sparse = [[(i, x) for i, x in enumerate(r) if x] for r in self.roots]
         d = lcm(1, *(x.denominator for r in sparse for _, x in r))
         return d, tuple(tuple((i, x.numerator * (d // x.denominator)) for i, x in r) for r in sparse)
@@ -126,29 +127,42 @@ def torus(rank: int) -> GroupData:
     return GroupData(rank, (), (), GramForm.identity(rank), f"torus({rank})")
 
 
+# gl(n) and sl(n) are frozen, so one instance per n serves the whole
+# process and its cached tables (int_roots, reflections, the form's cleared
+# rows) are built once; the last 8 of each stay, gl(100) with its tables in
+# about 11 MiB
+@lru_cache(maxsize=8)
 def gl(n: int) -> GroupData:
     if n < 1:
         raise InvalidParameter("n must be >= 1")
     roots = []
+    sparse = []
     for i in range(n):
         for j in range(n):
             if i != j:
                 r = [Fraction(0)] * n
                 r[i], r[j] = Fraction(1), Fraction(-1)
                 roots.append(tuple(r))
+                sparse.append(((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1)))
     simple = []
     for i in range(n - 1):
         r = [Fraction(0)] * n
         r[i], r[i + 1] = Fraction(1), Fraction(-1)
         simple.append(tuple(r))
-    return GroupData(n, tuple(roots), tuple(simple), GramForm.identity(n), f"gl({n})")
+    group = GroupData(n, tuple(roots), tuple(simple), GramForm.identity(n), f"gl({n})")
+    # the nonzero entries of each root are known here: no dense scan
+    vars(group)["int_roots"] = (1, tuple(sparse))
+    return group
 
 
+@lru_cache(maxsize=8)
 def sl(n: int) -> GroupData:
     """sl(n) on the rank-n coordinate lattice; the trace-zero constraint is
     recorded in the label, characters live modulo (1,...,1)."""
     g = gl(n)
-    return GroupData(g.rank, g.roots, g.simple_roots, g.form, f"sl({n})")
+    group = GroupData(g.rank, g.roots, g.simple_roots, g.form, f"sl({n})")
+    vars(group)["int_roots"] = g.int_roots
+    return group
 
 
 def product(factors: Sequence[GroupData]) -> GroupData:

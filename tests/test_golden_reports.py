@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import knx.groups
+import knx.strata
 from golden_reports import calls, golden_problems, report_path, run_call
 
 
@@ -11,3 +13,15 @@ def test_reports_match_snapshot(problem):
     assert sorted(expected) == sorted(" ".join(call) for call in calls())
     for call in calls():
         assert run_call(problem, call) == expected[" ".join(call)], " ".join(call)
+
+
+@pytest.mark.parametrize("problem", golden_problems(), ids=lambda p: p.stem)
+def test_reports_match_snapshot_cold_and_warm(problem):
+    # each call once with the orbit plans and preset groups built afresh,
+    # then once more on what that call left in the caches
+    expected = json.loads(report_path(problem).read_text(encoding="utf-8"))
+    for call in calls():
+        for cache in (knx.strata._orbit_plan, knx.groups.gl, knx.groups.sl):
+            cache.cache_clear()
+        cold = run_call(problem, call)
+        assert cold == run_call(problem, call) == expected[" ".join(call)], " ".join(call)

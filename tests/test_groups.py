@@ -20,6 +20,7 @@ from knx.groups import (
     weyl_canonicalize,
 )
 from knx.linalg import clear_denominators
+from knx.problemfile import load_problem
 from knx.scalars import vec_scale, vector
 from vectors import vec_sub
 
@@ -138,6 +139,20 @@ def test_sl_preset_keeps_gl_lattice():
     assert g.rank == 3
     assert g.label == "sl(3)"
     assert set(g.roots) == set(gl(3).roots)
+
+
+def dense_int_roots(group):
+    """The nonzero entries of every dense root, each entry tested, over the
+    least common denominator."""
+    den, ints = clear_denominators(group.roots)
+    return den, tuple(tuple((i, x) for i, x in enumerate(r) if x) for r in ints)
+
+
+def test_int_roots_equal_the_dense_scan(golden_dir):
+    custom = load_problem(golden_dir / "b2xgl1.json").group
+    groups = [gl(n) for n in range(1, 7)] + [sl(3), product([gl(2), B2, torus(1)]), custom]
+    for g in groups:
+        assert g.int_roots == dense_int_roots(g), g.label
 
 
 def test_custom_group_validation():

@@ -1,7 +1,9 @@
 """The orbit walk of ``span_candidates(..., orbits=True)`` against the full
 walk: the same ``KNResult`` from one flat per Weyl orbit, the orbit count,
-and the fall back to the full walk when a problem is not graphic."""
+the fall back to the full walk when a problem is not graphic, and the
+per-process cache of orbit plans and preset groups."""
 
+import random
 import time
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import knx.strata
 from knx.engine import cherednik_preset
-from knx.groups import TorusCharacter, gl, group_data, torus
+from knx.groups import TorusCharacter, gl, group_data, sl, torus
 from knx.groups import product as group_product
 from knx.problemfile import load_problem
 from knx.strata import WeightSystem, enumerate_kn, span_candidates, weight_system
@@ -207,3 +209,70 @@ def test_a_problem_that_is_not_graphic_takes_the_full_walk(monkeypatch, golden_d
     for orientation in ("negative", "positive", "both"):
         orbit, full = _both_walks(monkeypatch, ws, chi, group, orientation)
         assert orbit == full
+
+
+# the orbit plan is cached per shape: the class of each coordinate and the
+# edge of each table weight, not chi, c or the order of the weights
+PLAN = knx.strata._orbit_plan
+FRAMED_GL2_GL1 = quiver([2, 1], [(0, 0), (0, 1), (1, 0)], [1, 1])
+
+
+def _shuffled(weights, seed):
+    weights = list(weights)
+    random.Random(seed).shuffle(weights)
+    return weights
+
+
+GL2_PROBLEMS = [(weight_system(GL2_WEIGHTS), ONES, gl(2)),
+                (weight_system(_shuffled(GL2_WEIGHTS, 3)), TorusCharacter((F(5, 2), F(5, 2))), gl(2))]
+
+
+def test_gl2_problems_of_one_shape_build_one_plan():
+    PLAN.cache_clear()
+    for ws, chi, group in GL2_PROBLEMS:
+        enumerate_kn(ws, chi, group)
+    info = PLAN.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    enumerate_kn(*GL2_PROBLEMS[0])
+    assert PLAN.cache_info().hits == 2
+
+
+def test_a_cached_plan_reports_what_a_cold_plan_and_the_full_walk_report(monkeypatch):
+    gl3 = cherednik_preset(3)
+    problems = GL2_PROBLEMS + [(gl3.weights, gl3.chi, gl3.group), FRAMED_GL2_GL1, GL3_GL3]
+    for orientation in ("negative", "both"):
+        warm = [enumerate_kn(*p, orientation, UNCAPPED) for p in problems]
+        for problem, result in zip(problems, warm):
+            PLAN.cache_clear()
+            cold = enumerate_kn(*problem, orientation, UNCAPPED)
+            with monkeypatch.context() as m:
+                _full_walk(m)
+                full = enumerate_kn(*problem, orientation, UNCAPPED)
+            assert result == cold == full
+
+
+def _shape(ws, chi, group):
+    table, _ = next(span_candidates(ws, chi, group, UNCAPPED))
+    return knx.strata._graphic(table, group)
+
+
+def test_gl3_and_a_framed_gl2_x_gl1_keep_separate_plans():
+    # the same 3 coordinates and the same edges: every pair and every e_i
+    gl3 = cherednik_preset(3)
+    problems = [(gl3.weights, gl3.chi, gl3.group), FRAMED_GL2_GL1]
+    (kinds3, edges3), (kinds21, edges21) = [_shape(*p) for p in problems]
+    assert edges3 == edges21 and kinds3 != kinds21
+    PLAN.cache_clear()
+    for problem in problems + problems:
+        enumerate_kn(*problem)
+    info = PLAN.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # B(4) = 15 flats each: S_3 leaves 7 orbits of them, S_2 leaves 11
+    assert [_orbit_count(*p) for p in problems] == [7, 11]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_presets_are_one_group_per_n(n):
+    assert gl(n) is gl(n)
+    assert sl(n) is sl(n) and sl(n).label == f"sl({n})"
+    assert sl(n).int_roots == gl(n).int_roots
