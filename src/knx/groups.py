@@ -36,8 +36,9 @@ class GroupData:
     def int_roots(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
         """(d, the nonzero (i, d*r_i) of each root r) for the least d > 0 that
         clears them: a gl(n) root has two nonzero entries of n, so pairing
-        one vector with every root is O(n^2), not O(n^3).  ``gl`` and ``sl``
-        hand it over built; other groups scan their dense roots once."""
+        one vector with every root is O(n^2), not O(n^3).  ``gl``, ``sl``
+        and ``product`` hand it over built; other groups scan their dense
+        roots once."""
         sparse = [[(i, x) for i, x in enumerate(r) if x] for r in self.roots]
         d = lcm(1, *(x.denominator for r in sparse for _, x in r))
         return d, tuple(tuple((i, x.numerator * (d // x.denominator)) for i, x in r) for r in sparse)
@@ -172,6 +173,9 @@ def product(factors: Sequence[GroupData]) -> GroupData:
     roots: list[Vector] = []
     simple: list[Vector] = []
     rows = [[Fraction(0)] * rank for _ in range(rank)]
+    # the factors' sparse root tables, shifted and brought to one scale
+    scale = lcm(1, *(g.int_roots[0] for g in factors))
+    sparse = []
     offset = 0
     for g in factors:
         for r in g.roots:
@@ -181,9 +185,13 @@ def product(factors: Sequence[GroupData]) -> GroupData:
         for i in range(g.rank):
             for j in range(g.rank):
                 rows[offset + i][offset + j] = g.form.rows[i][j]
+        d, table = g.int_roots
+        sparse.extend(tuple((offset + i, x * (scale // d)) for i, x in r) for r in table)
         offset += g.rank
     label = "x".join(g.label for g in factors)
-    return GroupData(rank, tuple(roots), tuple(simple), GramForm(tuple(tuple(r) for r in rows)), label)
+    group = GroupData(rank, tuple(roots), tuple(simple), GramForm(tuple(tuple(r) for r in rows)), label)
+    vars(group)["int_roots"] = (scale, tuple(sparse))
+    return group
 
 
 def _embed(v: Vector, offset: int, rank: int) -> Vector:

@@ -10,12 +10,16 @@ every other row's pivot column and the basis is its own hashable key.
 ``span_extend`` adds one vector fraction-free (Bareiss 1968): a row step
 multiplies by the pivot instead of dividing by it, and one gcd at the end
 keeps the entries small.  A caller that extends one basis by many vectors
-passes the basis's ``pivots`` once.  ``rref_sorted`` orders bases of one
-rank as their Fraction RREFs would be ordered, without building one: the
-RREF rows times the lcm of all their pivot entries are integer rows.
+passes the basis's ``pivots`` once.  ``span_residual`` is the first half
+of that step: the primitive part of a vector outside the span, zero in
+every pivot column, so two vectors extend a basis to the same span
+exactly when their residuals are equal.  ``rref_sorted`` orders bases of
+one rank as their Fraction RREFs would be ordered, without building one:
+the RREF rows times the lcm of all their pivot entries are integer rows.
 
-The span walk of the strata path extends bases directly, and
-``matrix_rank`` is the size of the basis of the rows.  ``solve_exact``
+The span walk of the strata path reduces each line by a basis and
+extends the basis once per distinct residual, and ``matrix_rank`` is
+the size of the basis of the rows.  ``solve_exact``
 takes only square integer systems: a Bareiss elimination with row
 pivoting, then back substitution to the integers det(A) * x, returned as
 (den, nums) in lowest terms, or None when the matrix is singular.  The
@@ -78,11 +82,10 @@ def span_extend(basis: IntBasis, v: Sequence[int], cols: Sequence[int] | None = 
     basis's ``pivots``, for a caller that extends one basis by many vectors."""
     if cols is None:
         cols = pivots(basis)
-    vec = _reduce(basis, cols, v)
-    p = _pivot(vec)
-    if p is None:
+    vec = span_residual(basis, v, cols)
+    if vec is None:
         return basis
-    vec = _primitive(vec, p)
+    p = _pivot(vec)
     d = vec[p]
     # clear the new pivot column from the rows above; each keeps its own
     # pivot column and a positive entry there, since vec is zero in every
@@ -91,6 +94,16 @@ def span_extend(basis: IntBasis, v: Sequence[int], cols: Sequence[int] | None = 
             if row[p] else row for row, c in zip(basis, cols)]
     rows.insert(bisect_left(cols, p), vec)
     return tuple(rows)
+
+
+def span_residual(basis: IntBasis, v: Sequence[int], cols: Sequence[int]) -> IntVector | None:
+    """v minus its component in the span, as its primitive multiple with a
+    positive pivot; None when v lies in the span.  It is zero in every
+    pivot column of the basis, so two vectors extend the basis to the same
+    span exactly when their residuals are equal."""
+    vec = _reduce(basis, cols, v)
+    p = _pivot(vec)
+    return None if p is None else _primitive(vec, p)
 
 
 def span_contains(basis: IntBasis, v: Sequence[int]) -> bool:
@@ -131,7 +144,7 @@ def _primitive(vec: Sequence[int], p: int) -> IntVector:
     g = gcd(*vec)
     if vec[p] < 0:
         g = -g
-    return tuple(a // g for a in vec)
+    return tuple([a // g for a in vec])
 
 
 def _pivot(row: Sequence) -> int | None:

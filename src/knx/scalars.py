@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 from .errors import InvalidParameter
 from .linalg import IntVector, clear_denominators
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+# ASCII digits only: \d and int() would also take other scripts' digits
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rat(value) -> Fraction:
@@ -71,10 +72,6 @@ def vec_scale(c: Fraction, u: Vector) -> Vector:
 
 def vec_zero(n: int) -> Vector:
     return (Fraction(0),) * n
-
-
-def is_zero_vector(u: Vector) -> bool:
-    return all(a == 0 for a in u)
 
 
 @dataclass(frozen=True)

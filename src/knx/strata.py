@@ -12,6 +12,9 @@ the maximal subset with span(J), so evaluating one maximal subset per span
 (a flat) finds every stratum and every semistable witness.
 
 The full walk visits every flat, and the oracle re-solves each of them.
+Parallel weights lie in the same flats, so the walk tests one direction
+per line through the origin and lists a flat's members as every weight
+on its lines.
 ``enumerate_kn`` needs one flat per Weyl orbit, since v(wF) = w v(F) when
 W permutes the weights and fixes chi and q; it walks the orbits when the
 problem is graphic, which ``_graphic`` checks on the integer table:
@@ -60,7 +63,7 @@ from .convex import (
 )
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter
 from .groups import GroupData, TorusCharacter, weyl_canonicalize
-from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend
+from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
 from .scalars import Vector, vec_neg, vector
 
 ORIENTATIONS = ("negative", "positive", "both")
@@ -186,11 +189,18 @@ def span_candidates(
             yield table, min_norm_point(table, members)
         return
 
+    # parallel weights lie in the same flats (a matroid and its
+    # simplification have the same flats), so the walk tests one primitive
+    # direction per line, its residual modulo the span {0}, and a flat
+    # holds every table weight on its lines
+    lines: dict[IntVector, list[int]] = {}
+    for i, w in enumerate(table.int_weights):
+        lines.setdefault(span_residual((), w, ()), []).append(i)
     # breadth-first over the canonical integer bases of the spans (each its
     # own key), one rank per level, each level in the order of the spans'
-    # Fraction RREFs; extending a basis by each weight both lists the
-    # members of its flat (the basis comes back unchanged) and finds the
-    # flats one rank up
+    # Fraction RREFs; reducing each line by a basis both lists the members
+    # of its flat (a zero residual) and finds the flats one rank up, one
+    # per distinct residual
     seen = {()}
     level = [()]
     while level:
@@ -198,15 +208,19 @@ def span_candidates(
         for basis in level:
             cols = pivots(basis)
             members = []
-            for i, w in enumerate(table.int_weights):
-                bigger = span_extend(basis, w, cols)
-                if bigger is basis:
-                    members.append(i)
-                    continue
+            ups = set()
+            for line, on_line in lines.items():
+                up = span_residual(basis, line, cols)
+                if up is None:
+                    members += on_line
+                else:
+                    ups.add(up)
+            for up in ups:
+                bigger = span_extend(basis, up, cols)
                 if bigger not in seen:
                     seen.add(bigger)
                     found.append(bigger)
-            yield table, min_norm_point(table, members)
+            yield table, min_norm_point(table, sorted(members))
         level = rref_sorted(found)
 
 

@@ -155,6 +155,21 @@ def test_schema_rejects_float_rational(tmp_path, capsys):
     assert code == 2
 
 
+def test_schema_rejects_non_ascii_digits(tmp_path, capsys):
+    # "\u0662" is an Arabic-Indic 2 and "1/1\u0661" would read as 1/11
+    for i, (weight, chi) in enumerate(((["\u0662"], ["1"]), (["1"], ["1/1\u0661"]))):
+        bad = tmp_path / f"digits{i}.json"
+        bad.write_text(json.dumps({
+            "knx_version": 1,
+            "group": {"type": "torus", "rank": 1},
+            "weights": [weight],
+            "chi": chi,
+        }))
+        code, out, err = run(capsys, "strata", bad)
+        assert code == 2 and not out
+        assert "not a rational string" in err
+
+
 def test_schema_rejects_bare_numbers(tmp_path, capsys):
     bad = tmp_path / "number.json"
     bad.write_text(json.dumps({

@@ -26,8 +26,8 @@ def _project(weights, chi, q=Q2):
 def _oracle_direction(weights, chi, q):
     # closest point of conv{0, w_i} + eps0*chi by exhaustive search, over eps0
     vertices = [vec_zero(len(chi))] + list(weights)
-    (point,) = numeric_min_norm(vertices, [vec_scale(EPS0, chi)], q)
-    return vec_scale(1 / EPS0, point)
+    ((nums, den),) = numeric_min_norm(vertices, [vec_scale(EPS0, chi)], q)
+    return tuple(F(a, den) / EPS0 for a in nums)
 
 
 def _assert_kkt(weights, chi, proj, q):

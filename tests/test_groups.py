@@ -155,6 +155,19 @@ def test_int_roots_equal_the_dense_scan(golden_dir):
         assert g.int_roots == dense_int_roots(g), g.label
 
 
+def test_product_int_roots_are_the_factors_tables_shifted():
+    # product seeds int_roots from its factors' tables, at their offsets and
+    # over the lcm of their scales; it must equal a scan of its dense roots
+    half = group_data(1, [["1/2"], ["-1/2"]], [["1/2"]], label="half")
+    third = group_data(2, [["1/3", "-1/3"], ["-1/3", "1/3"]], [["1/3", "-1/3"]], label="third")
+    groups = [product([gl(3), torus(1), sl(2)]), product([B2, half]),
+              product([half, gl(2), third]), product([product([third, torus(2)]), half])]
+    for g in groups:
+        assert "int_roots" in vars(g), g.label
+        assert g.int_roots == dense_int_roots(g), g.label
+    assert groups[2].int_roots[0] == 6
+
+
 def test_custom_group_validation():
     # fine: the gl(2) data passed explicitly (B2 and A1_DIAG above are accepted too)
     group_data(2, [["1", "-1"], ["-1", "1"]], [["1", "-1"]])

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from knx.convex import cone_support, gram_table
 from knx.engine import cherednik_preset
 from knx.errors import InternalInconsistency
-from knx.groups import TorusCharacter, group_data
+from knx.groups import TorusCharacter, group_data, torus
 from knx.oracle import random_problem
-from knx.scalars import is_zero_vector, vec_scale, vec_zero
-from knx.strata import WeightSystem, span_candidates
+from knx.scalars import vec_scale, vec_zero, vector
+from knx.strata import WeightSystem, span_candidates, weight_system
 
 from test_linalg import ref_rank, ref_solve
-from vectors import vec_add, vec_sub
+from vectors import is_zero_vector, vec_add, vec_sub
 
 # -- reference: the Fraction kernel -----------------------------------------
 
@@ -169,6 +169,12 @@ def _raw(rank, count, seed):
 @example(_cherednik(4))
 @example(_raw(3, 6, 55))
 @example(_raw(3, 6, 159))
+# parallel raw weights: the walk tests one direction per line, the
+# reference every weight
+@example((weight_system([["1", "0"], ["2", "0"], ["-1", "0"], ["0", "3"], ["1", "1"]], "raw"),
+          TorusCharacter(vector(["1", "-2"])), torus(2)))
+@example((weight_system([["1", "0"], ["2", "0"], ["-1", "0"], ["0", "3"], ["1", "1"]], "cotangent"),
+          TorusCharacter(vector(["-1", "1"])), torus(2)))
 def test_integer_kernel_matches_the_fraction_reference(problem):
     ws, chi, group = problem
     got = list(span_candidates(ws, chi, group))

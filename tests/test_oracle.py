@@ -2,6 +2,7 @@ from dataclasses import replace
 from functools import reduce
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,15 +22,21 @@ from knx.oracle import (
     random_problem,
 )
 from knx.engine import cherednik_preset
-from knx.groups import weyl_canonicalize
+from knx.groups import primitive_rescale, weyl_canonicalize
 from knx.linalg import solve_exact
-from knx.scalars import GramForm, vec_scale, vector
-from knx.strata import enumerate_kn, weight_system
+from knx.problemfile import load_problem
+from knx.scalars import GramForm, vec_neg, vec_scale, vector
+from knx.strata import enumerate_kn, span_candidates, weight_system
 from test_linalg import ref_rank, ref_solve
-from vectors import vec_add, vec_sub
+from vectors import is_zero_vector, vec_add, vec_sub
 
 Q1 = GramForm.identity(1)
 Q2 = GramForm.identity(2)
+
+
+def as_points(results):
+    # numeric_min_norm's (nums, den) per translation, as Fraction points
+    return [tuple(F(a, den) for a in nums) for nums, den in results]
 
 
 def test_numeric_min_norm_examples():
@@ -37,16 +44,16 @@ def test_numeric_min_norm_examples():
     up = vector([0, eps0])
     # subset {alpha0, (1,1)} of the two-weight torus example at concrete
     # eps, given both as translated vertices and as a translation
-    assert numeric_min_norm([vector([0, eps0]), vector([1, 1 + eps0])], [vector([0, 0])], Q2) == [
-        (F(1, 2048), F(-1, 2048))
-    ]
+    got = numeric_min_norm([vector([0, eps0]), vector([1, 1 + eps0])], [vector([0, 0])], Q2)
+    assert got == [((1, -1), 2048)]
+    assert as_points(got) == [(F(1, 2048), F(-1, 2048))]
     got = numeric_min_norm([vector([0, 0]), vector([1, 1])], [up, vector([0, 2 * eps0])], Q2)
-    assert got == [(-eps0 / 2, eps0 / 2), (-eps0, eps0)]
+    assert as_points(got) == [(-eps0 / 2, eps0 / 2), (-eps0, eps0)]
 
-    assert numeric_min_norm([vector([0, 0])], [up], Q2) == [(F(0), eps0)]
+    assert as_points(numeric_min_norm([vector([0, 0])], [up], Q2)) == [(F(0), eps0)]
 
     sym = [vector([1, 0]), vector([-1, 0])]
-    assert numeric_min_norm(sym, [up], Q2) == [(F(0), eps0)]
+    assert as_points(numeric_min_norm(sym, [up], Q2)) == [(F(0), eps0)]
     assert numeric_min_norm(sym, [], Q2) == []
 
 
@@ -55,7 +62,7 @@ def test_numeric_min_norm_cotangent_pair_is_semistable():
     # [-1+eps, 1+eps], so the point is semistable at every small eps
     eps0 = F(-1, 1024)
     verts = [vector(["0"]), vector(["1"]), vector(["-1"])]
-    assert numeric_min_norm(verts, [vector([eps0]), vector([-eps0 / 3])], Q1) == [vector(["0"])] * 2
+    assert numeric_min_norm(verts, [vector([eps0]), vector([-eps0 / 3])], Q1) == [((0,), 1)] * 2
 
 
 def reference_min_norm(vertices, q):
@@ -153,8 +160,10 @@ def hull_problems(draw):
 def test_numeric_min_norm_matches_the_fraction_search(problem):
     vertices, shifts, q = problem
     got = numeric_min_norm(vertices, shifts, q)
-    assert got == [reference_min_norm([vec_add(v, t) for v in vertices], q) for t in shifts]
-    assert all(type(x) is F for point in got for x in point)
+    assert as_points(got) == [reference_min_norm([vec_add(v, t) for v in vertices], q) for t in shifts]
+    # integers over one positive denominator, in lowest terms
+    assert all(den > 0 and gcd(den, *nums) == 1 and all(type(a) is int for a in nums)
+               for nums, den in got)
 
 
 def test_one_search_per_flat_and_one_solve_per_non_vertex_point(monkeypatch):
@@ -164,7 +173,8 @@ def test_one_search_per_flat_and_one_solve_per_non_vertex_point(monkeypatch):
 
     def counted_search(vertices, shifts, q, cap):
         points = numeric_min_norm(vertices, shifts, q, cap)
-        searches.append(sum(p not in {vec_add(v, t) for v in vertices} for p, t in zip(points, shifts)))
+        searches.append(sum(p not in {vec_add(v, t) for v in vertices}
+                            for p, t in zip(as_points(points), shifts)))
         return points
 
     def counted_solve(rows, rhs):
@@ -217,6 +227,21 @@ def test_cross_check_projective_space():
     report = cross_check_enumeration(ws, TorusCharacter(vector(["1"])), torus(1))
     assert report.agreed
     assert report.directions == (vector(["-1"]),)
+
+
+@pytest.mark.parametrize("name", ["torus_example_down", "torus_example_up", "cherednik_n3"])
+def test_directions_are_the_sorted_primitive_minus_v(name, golden_dir):
+    # the Fraction computation the integer directions replaced: per flat with
+    # v != 0, the primitive positive multiple of -v, sorted
+    p = load_problem(golden_dir / f"{name}.json")
+    expected = set()
+    for _, proj in span_candidates(p.weights, p.chi, p.group, p.cap):
+        if not is_zero_vector(proj.direction):
+            expected.add(primitive_rescale(vec_neg(proj.direction)))
+    report = cross_check_problem(p)
+    assert report.agreed, report.mismatches
+    assert report.directions == tuple(sorted(expected))
+    assert all(type(x) is F for d in report.directions for x in d)
 
 
 def test_random_problem_contracts():

@@ -23,8 +23,17 @@ def test_rat_parsing():
             rat(bad)
 
 
+def test_rat_takes_ascii_digits_only():
+    # int() and Fraction() read the digits of every script: "\u0662" is 2
+    # and "1/1\u0661" is 1/11 to them
+    for bad in ("\u0662", "1/1\u0661", "\u0661/2", "-\uff13", "\u09e7\u09e6"):
+        with pytest.raises(InvalidParameter, match="not a rational string"):
+            rat(bad)
+    assert rat(" -12/34 ") == F(-6, 17)
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(st.from_regex(r"\s*[+-]?\d+(/[1-9]\d*)?\s*", fullmatch=True))
+@given(st.from_regex(r"\s*[+-]?[0-9]+(/[1-9][0-9]*)?\s*", fullmatch=True))
 def test_rat_agrees_with_the_fraction_parser(text):
     # the match's groups are converted by int(): the same value as
     # Fraction's own parser, for every string the grammar accepts

@@ -1,4 +1,5 @@
-"""Fraction vector sums for the reference computations of the tests."""
+"""Fraction vector sums and a zero test for the reference computations of
+the tests."""
 
 from knx.scalars import Vector
 
@@ -9,3 +10,7 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def is_zero_vector(u: Vector) -> bool:
+    return all(a == 0 for a in u)
