@@ -91,8 +91,8 @@ def numeric_min_norm(
         raise CapExceeded(f"{len(vertices)} vertices exceed the cap of {cap}")
     sv, pts = clear_denominators(vertices)
     st, ts = clear_denominators(shifts)
-    form = q.cleared[1]
-    covectors = [tuple(dot(row, p) for row in form) for p in pts]
+    # every preset's form is the identity, whose covectors are the points
+    covectors = pts if q.is_identity else [tuple(dot(r, p) for r in q.cleared[1]) for p in pts]
     g = [[dot(c, p) for p in pts] for c in covectors]
     # h[a][s] = Q(V_a, t_s) on the scale of g times st/sv
     h = [[dot(c, t) for t in ts] for c in covectors]

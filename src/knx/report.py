@@ -27,38 +27,54 @@ def _dumps(obj) -> str:
     which must hold ints only (the gap lists).
 
     With ``indent`` set, the json module encodes in pure Python, several
-    generator steps per list entry.  A gap list is instead rendered by one
-    repr and one replace, and its repr is made once per report: the union
-    of a forbidden report repeats the gap tuples of the loci it keeps.
+    generator steps per list entry.  Here every value appends its chunks
+    to one list, joined once at the end, so no text is copied per level.
+    A gap list is %-formatted (faster than repr) once per distinct value
+    and indented by one replace per place: a forbidden report's union
+    repeats its loci's gap tuples, and equal generators give equal ones.
     """
-    flat: dict[int, tuple[tuple, str]] = {}  # id -> (the tuple, kept alive; its repr)
+    out: list[str] = []
+    put = out.append
+    flat: dict[tuple, str] = {}  # a gap tuple -> its entries, comma separated
 
-    def render(value, outer: str) -> str:
+    def write(value, outer: str) -> None:
         # scalars in the json module's own order; a float goes to its encoder
         if isinstance(value, str):
-            return encode_basestring_ascii(value)
+            return put(encode_basestring_ascii(value))
         if value is None or value is True or value is False:
-            return "null" if value is None else "true" if value else "false"
+            return put("null" if value is None else "true" if value else "false")
         if isinstance(value, int):
-            return int.__repr__(value)
+            return put(int.__repr__(value))
         if not isinstance(value, (dict, list, tuple)):
-            return JSONEncoder().encode(value)
+            return put(JSONEncoder().encode(value))
         if not value:
-            return "{}" if isinstance(value, dict) else "[]"
+            return put("{}" if isinstance(value, dict) else "[]")
         inner = outer + "  "
+        sep = ",\n" + inner
+        # every entry is followed by sep, and the last sep becomes the close
         if isinstance(value, dict):
-            items = sorted(value.items())
-            parts = [f"{encode_basestring_ascii(k)}: {render(v, inner)}" for k, v in items]
-            return "{\n" + inner + f",\n{inner}".join(parts) + f"\n{outer}}}"
+            put("{\n" + inner)
+            for k, v in sorted(value.items()):
+                put(encode_basestring_ascii(k) + ": ")
+                write(v, inner)
+                put(sep)
+            out[-1] = f"\n{outer}}}"
+            return
+        put("[\n" + inner)
         if isinstance(value, list):
-            body = f",\n{inner}".join([render(v, inner) for v in value])
+            for v in value:
+                write(v, inner)
+                put(sep)
         else:
-            if id(value) not in flat:
-                flat[id(value)] = (value, repr(list(value))[1:-1])
-            body = flat[id(value)][1].replace(", ", ",\n" + inner)
-        return f"[\n{inner}{body}\n{outer}]"
+            text = flat.get(value)
+            if text is None:
+                text = flat[value] = ("%d, " * len(value))[:-2] % value
+            put(text.replace(", ", sep))
+            put(sep)
+        out[-1] = f"\n{outer}]"
 
-    return render(obj, "")
+    write(obj, "")
+    return "".join(out)
 
 
 def set_description_json(d: SetDescription) -> dict:

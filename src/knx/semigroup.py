@@ -4,10 +4,12 @@ A semigroup is stored as scaled integers: original generators equal
 scale * (integer generators).  Dividing by the content (their gcd) gives
 reduced generators with smallest element a1, and the semigroup is kept as
 its Apery set with respect to a1: apery[r] is the least reduced member
-congruent to r mod a1, found by a shortest-path search over the residues
-(Nijenhuis 1979).  A reduced m is a member exactly when m >= apery[m % a1],
-so membership is O(1); the conductor and the gaps follow from the Apery
-set, and the gaps are only listed when a report reads them.
+congruent to r mod a1, found by one round-robin walk per generator over
+the residue cycles it generates (Boecker & Liptak, "A fast and simple
+algorithm for the money changing problem", Algorithmica 48, 2007).  A
+reduced m is a member exactly when m >= apery[m % a1], so membership is
+O(1); the conductor and the gaps follow from the Apery set, and the gaps
+are only listed when a report reads them.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
-from itertools import chain
-from math import gcd
+from itertools import chain, zip_longest
+from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .errors import InternalInconsistency, InvalidParameter
@@ -39,10 +40,11 @@ class NumericalSemigroup:
 
     @cached_property
     def reduced_gaps(self) -> tuple[int, ...]:
-        """Gaps divided by the content: r + j*a1 below apery[r], ascending."""
+        """Gaps divided by the content: r + j*a1 below apery[r], ascending,
+        read row by row with no sort (None pads spent runs; 0 is no gap)."""
         a1 = len(self.apery)
-        runs = (range(r, top, a1) for r, top in enumerate(self.apery))
-        return tuple(sorted(chain.from_iterable(runs)))
+        runs = [range(r, top, a1) for r, top in enumerate(self.apery)]
+        return tuple(filter(None, chain.from_iterable(zip_longest(*runs))))
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
@@ -88,21 +90,23 @@ def semigroup_from_generators(gens: Iterable[Fraction]) -> NumericalSemigroup:
 
 
 def _apery_set(reduced: Sequence[int]) -> tuple[int, ...]:
-    """Dijkstra over Z/a1: each other generator g is an edge r -> r + g of
-    weight g, so the distance to r is the least member congruent to r."""
+    """Round robin over Z/a1: adding generator g splits the residues into
+    gcd(a1, g) cycles of +g, and one walk around each cycle, started at
+    its least known entry, gives every residue min(own entry, previous + g)."""
     a1 = reduced[0]
-    apery: list[int | None] = [0] + [None] * (a1 - 1)
-    heap = [0]
-    while heap:
-        m = heappop(heap)
-        if m > apery[m % a1]:
-            continue  # stale entry
-        for g in reduced[1:]:
-            n = m + g
-            best = apery[n % a1]
-            if best is None or n < best:
-                apery[n % a1] = n
-                heappush(heap, n)
+    apery = [0] + [inf] * (a1 - 1)
+    for g in reduced[1:]:
+        d = gcd(a1, g)
+        for p in range(d):
+            cur = min(apery[p::d])
+            if cur == inf:
+                continue  # no member reaches this cycle yet
+            for _ in range(a1 // d - 1):
+                cur += g
+                r = cur % a1
+                if apery[r] < cur:
+                    cur = apery[r]
+                apery[r] = cur
     return tuple(apery)  # gcd 1 reaches every residue
 
 

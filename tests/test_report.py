@@ -28,13 +28,16 @@ _values = st.recursive(
 @st.composite
 def _shared_tuple_reports(draw):
     """An int tuple that appears both at depth 2 and inside a deeper list,
-    as a forbidden report's loci and union share their gap tuples."""
+    as a forbidden report's loci and union share their gap tuples, and an
+    equal but distinct copy at a third depth, as strata with equal
+    generators have equal gap tuples."""
     gaps = draw(_int_tuples)
     locus = {"gaps": gaps, "conductor": draw(_ints), "empty": draw(st.booleans())}
     return {
         "loci": [{"locus": locus, "beta": draw(st.lists(_texts, max_size=3))}],
         "union": [{"gaps": gaps}],
         "gaps": gaps,
+        "copy": [[{"gaps": tuple(list(gaps))}]],
         "rest": draw(_values),
     }
 
@@ -73,4 +76,33 @@ def test_medium_forbidden_report_matches_json_dumps(monkeypatch):
     (obj,) = dumped
     assert obj["union"][0]["gaps"] is obj["loci"][0]["locus"]["gaps"]
     assert len(obj["union"][0]["gaps"]) == 45150
+    assert text == reference(obj)
+
+
+def test_rank_two_forbidden_report_with_equal_gap_lists_matches_json_dumps(monkeypatch):
+    # generators {13, 14}/2 on both axes of a rank-2 torus: the loci of e1
+    # and e2 list equal but distinct gap tuples, and the union repeats the
+    # gap tuple of the (1, 1) locus, which contains both, one level higher
+    problem = parse_problem({
+        "knx_version": 1,
+        "group": {"type": "torus", "rank": 2},
+        "weights": [["13/2", "0"], ["7", "0"], ["0", "13/2"], ["0", "7"]],
+        "mode": "cotangent",
+        "chi": ["1", "1"],
+        "c": {"base": ["-3/2", "-3/2"], "direction": ["1", "1"]},
+        "orientation": "positive",
+    })
+    dumped, dumps = [], report._dumps
+
+    def spy(obj):
+        dumped.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(report, "_dumps", spy)
+    text = report.forbidden_report(problem, forbidden(problem), as_json=True)
+    (obj,) = dumped
+    gaps = {tuple(entry["beta"]): entry["locus"]["gaps"] for entry in obj["loci"]}
+    first, second = gaps["1", "0"], gaps["0", "1"]
+    assert first == second and first is not second and len(first) == 78
+    assert [d["gaps"] for d in obj["union"]] == [gaps["1", "1"]]
     assert text == reference(obj)

@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction as F
+from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -11,6 +13,7 @@ from knx.errors import InvalidParameter
 from knx.scalars import rat_str
 from knx.semigroup import (
     SetDescription,
+    _apery_set,
     describe_members,
     membership,
     reduce_union,
@@ -200,6 +203,10 @@ _gens = st.lists(st.integers(1, 14), min_size=1, max_size=4)
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(_gens)
+# a later generator shares a factor with a1, so its residues form several cycles
+@example([4, 6, 9])
+@example([6, 10, 15])  # the walk of 15 must start at 10, the least of its cycle 1, 4
+@example([8, 12, 18, 27])
 def test_apery_membership_gaps_conductor_match_enumeration(gens):
     s = semigroup_from_generators([F(g) for g in gens])
     gaps, conductor = naive_gaps_and_conductor(gens)
@@ -207,6 +214,57 @@ def test_apery_membership_gaps_conductor_match_enumeration(gens):
     table = naive_members(gens, conductor + 3 * max(gens))
     for m in range(-2, conductor + 3 * max(gens) + 1):
         assert s.member_int(m) == (m in table), (gens, m)
+
+
+def dijkstra_apery(reduced: list[int]) -> tuple[int, ...]:
+    """The shortest-path search over Z/a1 that the round robin replaced
+    (Nijenhuis 1979): each other generator g is an edge r -> r + g of
+    weight g, so the distance to r is the least member congruent to r."""
+    a1 = reduced[0]
+    apery: list[int | None] = [0] + [None] * (a1 - 1)
+    heap = [0]
+    while heap:
+        m = heappop(heap)
+        if m > apery[m % a1]:
+            continue  # stale entry
+        for g in reduced[1:]:
+            n = m + g
+            best = apery[n % a1]
+            if best is None or n < best:
+                apery[n % a1] = n
+                heappush(heap, n)
+    return tuple(apery)
+
+
+@st.composite
+def _reduced_generators(draw):
+    """Sorted distinct generators with gcd 1 and a1 up to 300, past the
+    range of naive enumeration; factors of a1 are favoured, so that later
+    generators walk several residue cycles."""
+    a1 = draw(st.integers(1, 300))
+    factors = [d for d in range(2, a1 + 1) if a1 % d == 0] or [1]
+    others = draw(st.lists(
+        st.builds(lambda d, k: d * k, st.sampled_from(factors), st.integers(1, 40))
+        | st.integers(a1 + 1, 3 * a1 + 40),
+        max_size=4,
+    ))
+    gens = sorted({a1, *(g for g in others if g > a1)})
+    if gcd(*gens) > 1:
+        gens = sorted({*gens, draw(st.integers(a1 + 1, 4 * a1 + 1).filter(
+            lambda g: gcd(g, *gens) == 1))})
+    return gens
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_reduced_generators())
+@example([4, 7, 10])  # 10's cycle 1, 3 starts at 7 (residue 3), not at 21 (residue 1)
+@example([300, 301])
+def test_apery_set_and_gaps_match_the_dijkstra_reference(reduced):
+    apery = dijkstra_apery(reduced)
+    assert _apery_set(reduced) == apery
+    runs = (range(r, top, reduced[0]) for r, top in enumerate(apery))
+    s = semigroup_from_generators([F(g) for g in reduced])
+    assert s.reduced_gaps == s.gaps == tuple(sorted(chain.from_iterable(runs)))
 
 
 @settings(max_examples=150, deadline=None, database=None)
