@@ -49,7 +49,8 @@ def parse_problem(data: dict, cap: int = DEFAULT_VERTEX_CAP,
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise SchemaError(f"unknown keys: {sorted(unknown)}")
-    if data.get("knx_version") != SCHEMA_VERSION:
+    version = data.get("knx_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         raise SchemaError('missing or unsupported "knx_version" (must be 1)')
     for key in ("group", "weights", "chi"):
         if key not in data:

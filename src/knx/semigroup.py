@@ -39,28 +39,18 @@ class NumericalSemigroup:
         return self.content == 0
 
     @cached_property
-    def reduced_gaps(self) -> tuple[int, ...]:
-        """Gaps divided by the content: r + j*a1 below apery[r], ascending,
-        read row by row with no sort (None pads spent runs; 0 is no gap)."""
-        a1 = len(self.apery)
-        runs = [range(r, top, a1) for r, top in enumerate(self.apery)]
-        return tuple(filter(None, chain.from_iterable(zip_longest(*runs))))
-
-    @cached_property
     def gaps(self) -> tuple[int, ...]:
         """Non-representable elements of content*Z>=0, ascending."""
         if self.content == 1:
-            return self.reduced_gaps
-        return tuple([self.content * m for m in self.reduced_gaps])
+            return _gaps(self.apery)
+        return tuple([self.content * m for m in _gaps(self.apery)])
 
     def member_int(self, m: int) -> bool:
         """Membership for integers in the scaled (integer) semigroup."""
-        if m < 0:
-            return False
         if self.is_zero:
             return m == 0
         q, rem = divmod(m, self.content)
-        return rem == 0 and q >= self.apery[q % len(self.apery)]
+        return rem == 0 and _member(self.apery, q)
 
     def member(self, value: Fraction) -> bool:
         """Membership for exact rationals in scale * (integer semigroup)."""
@@ -108,6 +98,20 @@ def _apery_set(reduced: Sequence[int]) -> tuple[int, ...]:
                     cur = apery[r]
                 apery[r] = cur
     return tuple(apery)  # gcd 1 reaches every residue
+
+
+def _member(apery: Sequence[int], k: int) -> bool:
+    """Whether the integer k lies in the reduced semigroup with this Apery
+    set; a negative k never does, since every entry is >= 0."""
+    return k >= apery[k % len(apery)]
+
+
+def _gaps(apery: Sequence[int]) -> tuple[int, ...]:
+    """Gaps of the reduced semigroup: r + j*a1 below apery[r], ascending,
+    read row by row with no sort (None pads spent runs; 0 is no gap)."""
+    a1 = len(apery)
+    runs = [range(r, top, a1) for r, top in enumerate(apery)]
+    return tuple(filter(None, chain.from_iterable(zip_longest(*runs))))
 
 
 def membership(semigroup: NumericalSemigroup, shift: Fraction, value: Fraction) -> bool:
@@ -162,21 +166,26 @@ def witness_decomposition(
 class SetDescription:
     """Closed form of a shifted scaled semigroup on a rational line.
 
-    The set is {offset + modulus*k : k in Z>=0, k not in gaps}; every
-    k >= conductor is included; modulus 0 degenerates to {offset};
-    empty/full override everything (used for constant parametric strata).
+    The set is {offset + modulus*k : k in S}, where S is the reduced
+    semigroup with Apery set ``apery`` (the default (0,) is Z>=0); modulus
+    0 degenerates to {offset}; empty/full override everything (used for
+    constant parametric strata).  The gaps of S are listed only when read.
     """
 
     offset: Fraction = Fraction(0)
     modulus: Fraction = Fraction(0)
-    gaps: tuple[int, ...] = ()
-    conductor: int = 0
+    apery: tuple[int, ...] = (0,)
     empty: bool = False
     full: bool = False
 
     @cached_property
-    def _gap_set(self) -> frozenset[int]:
-        return frozenset(self.gaps)
+    def gaps(self) -> tuple[int, ...]:
+        return _gaps(self.apery)
+
+    @property
+    def conductor(self) -> int:
+        """Every k >= conductor is in S (the Frobenius number is max(apery) - a1)."""
+        return max(self.apery) - len(self.apery) + 1
 
     def contains(self, x: Fraction) -> bool:
         if self.empty:
@@ -186,10 +195,7 @@ class SetDescription:
         if self.modulus == 0:
             return x == self.offset
         k = (x - self.offset) / self.modulus
-        if k.denominator != 1 or k < 0:
-            return False
-        k = int(k)
-        return k >= self.conductor or k not in self._gap_set
+        return k.denominator == 1 and _member(self.apery, int(k))
 
     def render(self) -> str:
         if self.empty:
@@ -230,17 +236,15 @@ class SetDescription:
         j0 = (self.offset - other.offset) / other.modulus
         if j0.denominator != 1:
             return False
-        r = int(ratio)
-        j0 = int(j0)
-        # self's k-th point is other's (j0 + r*k)-th: none may fall before
-        # other's offset, nor on one of other's gaps
-        own_gaps = self._gap_set
-        if any(k not in own_gaps for k in range(-(j0 // r))):
-            return False
-        return not any(
-            (j - j0) % r == 0 and (j - j0) // r not in own_gaps
-            for j in other.gaps
-            if j0 <= j < other.conductor
+        r, j0 = int(ratio), int(j0)
+        # self's point k is other's point j0 + r*k, and k runs over a + a1*t
+        # for the Apery elements a of self; adding b1 keeps j in other's
+        # set, so per a the first term of each residue class mod b1 decides
+        step, b1 = r * len(self.apery), len(other.apery)
+        return all(
+            _member(other.apery, j0 + r * a + step * t)
+            for a in self.apery
+            for t in range(b1 // gcd(step, b1))
         )
 
 
@@ -251,12 +255,7 @@ def describe_members(
     if semigroup.is_zero:
         return SetDescription(offset=shift, modulus=Fraction(0))
     step = unit * semigroup.scale * semigroup.content
-    return SetDescription(
-        offset=shift,
-        modulus=step,
-        gaps=semigroup.reduced_gaps,
-        conductor=semigroup.conductor // semigroup.content,
-    )
+    return SetDescription(offset=shift, modulus=step, apery=semigroup.apery)
 
 
 def reduce_union(descriptions: Sequence[SetDescription]) -> tuple[SetDescription, ...]:

@@ -54,7 +54,7 @@ def test_criterion_1_cherednik_reproduction():
         got = sorted((l.locus for l in v.loci), key=lambda d: d.modulus)
         want = sorted(
             (
-                SetDescription(offset=F(1, 2), modulus=F(1, k), gaps=(), conductor=0)
+                SetDescription(offset=F(1, 2), modulus=F(1, k))
                 for k in range(1, n + 1)
             ),
             key=lambda d: d.modulus,

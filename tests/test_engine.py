@@ -71,7 +71,7 @@ def test_cherednik_forbidden_loci():
             tuple(F(int(i < k)) for i in range(n)) for k in range(1, n + 1)
         ]
         assert [l.locus for l in v.loci] == [
-            SetDescription(offset=F(1, 2), modulus=F(1, k), gaps=(), conductor=0)
+            SetDescription(offset=F(1, 2), modulus=F(1, k))
             for k in range(1, n + 1)
         ]
     assert elapsed[5] < 10  # gl(5), with a wide margin
@@ -88,6 +88,22 @@ def test_cherednik_forbidden_negative_orientation_mirror():
         SetDescription(offset=F(-1, 2), modulus=F(-1, 2)),
     ]
     assert v.union_loci == (SetDescription(offset=F(-1, 2), modulus=F(-1, 2)),)
+
+
+def test_rank_two_sylvester_union_lists_no_gaps():
+    # generators {a, a+1} on both axes: the (1, 1) locus, of modulus 1/2,
+    # contains both axis loci, and containment reads Apery sets, not gaps
+    a, b = "300", "301"
+    p = ExactnessProblem(
+        group=torus(2),
+        weights=weight_system([[a, "0"], [b, "0"], ["0", a], ["0", b]], "cotangent"),
+        chi=TorusCharacter(vector(["1", "1"])),
+        c=LieCharacter(vector(["0", "0"]), vector(["1", "1"])),
+        orientation="positive",
+    )
+    v = forbidden(p)
+    assert len(v.loci) == 3 and [d.modulus for d in v.union_loci] == [F(1, 2)]
+    assert all("gaps" not in vars(d) for d in [l.locus for l in v.loci] + list(v.union_loci))
 
 
 def test_projective_parametric_locus():

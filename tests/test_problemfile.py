@@ -122,6 +122,19 @@ def test_parse_problem_raises_only_schema_errors(data):
         pass
 
 
+def test_knx_version_must_be_the_integer_one(tmp_path, capsys):
+    problem = {"knx_version": 1, "group": {"type": "torus", "rank": 1},
+               "weights": [["1"]], "chi": ["1"]}
+    path = tmp_path / "version.json"
+    for version in (True, 1.0):
+        problem["knx_version"] = version
+        with pytest.raises(SchemaError, match='unsupported "knx_version"'):
+            parse_problem(problem)
+        path.write_text(json.dumps(problem))
+        assert main(["strata", str(path)]) == 2
+        assert 'unsupported "knx_version" (must be 1)' in capsys.readouterr().err
+
+
 def test_products_nested_deeper_than_the_stack_are_schema_errors():
     group = {"type": "torus", "rank": 1}
     for _ in range(5000):
