@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .convex import DEFAULT_VERTEX_CAP
-from .engine import CERTIFIED, check, forbidden
+from .engine import CERTIFIED, check, forbidden, matched_drops
 from .errors import (
     CapExceeded,
     InternalInconsistency,
@@ -94,6 +94,7 @@ def main(argv=None) -> int:
             result = enumerate_kn(
                 problem.weights, problem.chi, problem.group, problem.orientation, cap
             )
+            matched_drops(problem, result)  # every stratum is still listed
             print(strata_report(problem, result, args.json))
             return EXIT_OK
 

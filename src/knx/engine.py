@@ -95,14 +95,18 @@ def _kept_strata(problem: ExactnessProblem) -> tuple[KNResult, tuple[KNStratum, 
     result = enumerate_kn(
         problem.weights, problem.chi, problem.group, problem.orientation, problem.cap
     )
+    dropped = matched_drops(problem, result)
+    return result, tuple(s for s in result.strata if s.beta_dominant not in dropped)
+
+
+def matched_drops(problem: ExactnessProblem, result: KNResult) -> set[Vector]:
+    """The Weyl-canonical dropped strata; each must match a stratum of result."""
     dropped = {weyl_canonicalize(vector(v), problem.group) for v in problem.dropped_strata}
-    known = {s.beta_dominant for s in result.strata}
-    unknown = dropped - known
+    unknown = dropped - {s.beta_dominant for s in result.strata}
     if unknown:
         shown = ", ".join("(" + ", ".join(map(rat_str, v)) + ")" for v in sorted(unknown))
         raise InvalidParameter(f"dropped strata do not match any enumerated stratum: {shown}")
-    kept = tuple(s for s in result.strata if s.beta_dominant not in dropped)
-    return result, kept
+    return dropped
 
 
 def _signed_betas(stratum: KNStratum, orientation: str) -> tuple[Vector, ...]:

@@ -127,7 +127,12 @@ def witness_decomposition(
     Only valid when membership holds; the identity is re-verified exactly.
     The counts are canonical: the largest generator is taken until the
     rest drops below conductor + g_max, then each step down takes the
-    smallest generator that leaves a member.
+    smallest generator that leaves a member.  After one run of g1, which
+    keeps the residue mod a1, the rest m is an Apery element, and so is
+    every member m - g: g1 never recurs, nor does a smaller generator
+    after a larger one (S + g lies in S).  So each other generator g is
+    taken once, c times, where the members m - j*g are exactly j = 0..c,
+    and bisection finds c: O(k log m) membership tests for k generators.
     """
     if not membership(semigroup, shift, value):
         raise InvalidParameter("value is not a member; no witness exists")
@@ -138,23 +143,20 @@ def witness_decomposition(
     a1, content, apery = len(semigroup.apery), semigroup.content, semigroup.apery
     m = int((value - shift) / semigroup.scale)
     top = max(0, (m - semigroup.conductor) // g_max)
-    counts = {g_max: top} if top else {}
-    m -= top * g_max
-    while m > 0:
-        q = m // content
-        # g1 keeps the residue mod a1, so it is taken while q stays >= apery
-        run = (q - apery[q % a1]) // a1
-        if run:
-            counts[g1] = counts.get(g1, 0) + run
-            m -= run * g1
-            continue
-        g = next((g for g in gens[1:] if semigroup.member_int(m - g)), None)
-        if g is None:
-            raise InternalInconsistency("membership and the Apery set disagree")
-        counts[g] = counts.get(g, 0) + 1
-        m -= g
+    counts = dict.fromkeys(gens, 0) | {g_max: top}
+    q = (m - top * g_max) // content  # reduced, as are the steps below
+    counts[g1] += (q - apery[q % a1]) // a1
+    q = apery[q % a1]
+    for g in gens[1:]:
+        h = g // content
+        lo, hi = 0, q // h
+        while lo < hi:  # the largest j in [lo, hi] with q - j*h a member
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if _member(apery, q - mid * h) else (lo, mid - 1)
+        counts[g] += lo
+        q -= lo * h
     witness = tuple(
-        (semigroup.scale * g, counts[g]) for g in sorted(counts)
+        (semigroup.scale * g, counts[g]) for g in gens if counts[g]
     )
     total = shift + sum(gv * n for gv, n in witness)
     if total != value:

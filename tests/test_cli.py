@@ -42,6 +42,21 @@ def test_strata_json_report(capsys):
     assert data["semistable_nonempty"] is False
 
 
+def test_strata_refuses_unmatched_drop_strata(tmp_path, capsys):
+    problem = json.loads((GOLDEN_DIR / "cherednik_n2.json").read_text())
+    _, plain, _ = run(capsys, "strata", GOLDEN_DIR / "cherednik_n2.json", "--json")
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps({**problem, "drop_strata": [["7", "7"]]}))
+    code, out, err = run(capsys, "strata", path, "--json")
+    assert code == 2 and out == ""
+    assert "dropped strata do not match any enumerated stratum: (7, 7)" in err
+    # (0, 1) is Weyl-conjugate to the stratum (1, 0), which is still listed
+    path.write_text(json.dumps({**problem, "drop_strata": [["0", "1"]]}))
+    code, out, _ = run(capsys, "strata", path, "--json")
+    assert code == 0
+    assert json.loads(out)["strata"] == json.loads(plain)["strata"]
+
+
 def test_check_exit_codes(capsys):
     code, out, _ = run(capsys, "check", GOLDEN_DIR / "cherednik_n2_t_3_4.json")
     assert code == 0 and "Certified" in out

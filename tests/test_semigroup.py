@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import knx.semigroup
 from knx.errors import InvalidParameter
 from knx.scalars import rat_str
 from knx.semigroup import (
@@ -271,6 +272,7 @@ def test_apery_set_and_gaps_match_the_dijkstra_reference(reduced):
 @given(st.lists(st.integers(2, 14), min_size=1, max_size=4),
        st.integers(1, 3), st.integers(-6, 6), st.integers(0, 10**4))
 @example([3, 4, 8], 1, 0, 0)  # at 8 both 4 and 8 leave a member; the DP takes 4
+@example([5, 6, 7, 9], 1, 0, 0)  # 22 = 9 + 6 + 7: g_max, then two other non-first generators
 def test_witness_equals_dp_witness(gens, den, shift_num, far):
     s = semigroup_from_generators([F(g, den) for g in gens])
     shift = F(shift_num, den)
@@ -350,6 +352,21 @@ def test_witness_far_past_the_conductor_is_fast():
         witness = witness_decomposition(s, shift, value)
         assert time.perf_counter() - start < 1.0
         assert shift + sum(g * n for g, n in witness) == value
+
+
+def test_witness_takes_each_generator_by_bisection(monkeypatch):
+    s = semigroup_from_generators([F(5000), F(5001)])
+    shift, m = F(1, 2), 4999 * 5001  # the Apery element of residue 4999 mod 5000
+    member, calls = knx.semigroup._member, 0
+
+    def counted(apery, k):
+        nonlocal calls
+        calls += 1
+        return member(apery, k)
+
+    monkeypatch.setattr(knx.semigroup, "_member", counted)
+    assert witness_decomposition(s, shift, shift + m) == ((F(5001), 4999),)
+    assert calls <= 4 * len(s.generators) * m.bit_length()
 
 
 def fraction_rendered_gaps(d: SetDescription) -> str:
