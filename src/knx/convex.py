@@ -40,41 +40,55 @@ DEFAULT_VERTEX_CAP = 24
 
 
 @dataclass(frozen=True)
-class GramTable:
-    """Weights w_i and a character chi with their q-pairings in integers.
+class WeightTable:
+    """Weights w_i with their q-pairings in integers, chi-free.
 
-    ``weights`` are the Fraction vectors as given.  The cleared problem is
-    W_i = weight_scale*w_i (``int_weights``), X = chi_scale*chi
-    (``int_chi``) and Q = form_scale*q; ``covectors[i]`` is Q W_i, so that
-    gram[i][j] = Q(W_i, W_j) and rhs[i] = Q(W_i, X).
+    ``weights`` are the Fraction vectors as given.  The cleared weights are
+    W_i = weight_scale*w_i (``int_weights``) and the cleared form is
+    Q = form_scale*q; ``covectors[i]`` is Q W_i and gram[i][j] = Q(W_i, W_j).
     """
 
     weights: tuple[Vector, ...]
     int_weights: tuple[IntVector, ...]
-    int_chi: IntVector
     covectors: tuple[IntVector, ...]
     weight_scale: int
-    chi_scale: int
     form_scale: int
     gram: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class GramTable(WeightTable):
+    """A weight table and a character chi: X = chi_scale*chi (``int_chi``)
+    and rhs[i] = Q(W_i, X)."""
+
+    int_chi: IntVector
+    chi_scale: int
     rhs: tuple[int, ...]
 
 
-def gram_table(
+def weight_table(
     weights: Sequence[Vector],
-    chi: Vector,
     q: GramForm,
     cleared: tuple[int, Sequence[IntVector]] | None = None,
-) -> GramTable:
+) -> WeightTable:
     """``cleared`` is ``clear_denominators(weights)``, for a caller that has it."""
     weight_scale, int_weights = clear_denominators(weights) if cleared is None else cleared
-    chi_scale, (int_chi,) = clear_denominators([chi])
     form_scale, int_form = q.cleared
     covectors = tuple(tuple(dot(row, w) for row in int_form) for w in int_weights)
     gram = tuple(tuple(dot(c, w) for w in int_weights) for c in covectors)
-    rhs = tuple(dot(c, int_chi) for c in covectors)
-    return GramTable(tuple(weights), tuple(int_weights), int_chi, covectors,
-                     weight_scale, chi_scale, form_scale, gram, rhs)
+    return WeightTable(tuple(weights), tuple(int_weights), covectors, weight_scale, form_scale, gram)
+
+
+def with_chi(table: WeightTable, chi: Vector) -> GramTable:
+    """The table of ``table``'s weights and chi: chi is cleared and paired here."""
+    chi_scale, (int_chi,) = clear_denominators([chi])
+    rhs = tuple(dot(c, int_chi) for c in table.covectors)
+    return GramTable(table.weights, table.int_weights, table.covectors, table.weight_scale,
+                     table.form_scale, table.gram, int_chi, chi_scale, rhs)
+
+
+def gram_table(weights: Sequence[Vector], chi: Vector, q: GramForm) -> GramTable:
+    return with_chi(weight_table(weights, q), chi)
 
 
 @dataclass(frozen=True)

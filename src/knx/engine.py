@@ -1,21 +1,28 @@
 """Orchestration: enumerate strata, compute shifts and semigroups, decide
 whether a quantization parameter avoids the forbidden locus, or emit the
-locus in closed form for a parametric family."""
+locus in closed form for a parametric family.
+
+What depends on neither chi nor c is kept per shape (``strata.Shape``):
+a problem looks its shape up when it is built, which checks W-stability
+on a miss, and each signed direction's ``ShiftData`` and generators are
+kept for the last 1024 (shape, beta, strictness), by value.  The
+semigroups, c(beta) and everything after are computed on every call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .errors import InvalidParameter, UnsupportedMode
 from .groups import (
     GroupData,
+    Keyed,
     LieCharacter,
     TorusCharacter,
     gl,
     validate_lie_character,
     validate_torus_character,
-    validate_weyl_stable,
     weyl_canonicalize,
 )
 from .scalars import Vector, rat_str, vec_zero, vector
@@ -29,7 +36,7 @@ from .semigroup import (
     witness_decomposition,
 )
 from .shifts import ShiftData, compute_shift, full_space_generators
-from .strata import KNResult, KNStratum, WeightSystem, enumerate_kn
+from .strata import KNResult, KNStratum, Shape, WeightSystem, enumerate_kn, shape_of
 from .convex import DEFAULT_VERTEX_CAP
 
 STRICTNESS = ("slice", "full_V")
@@ -57,7 +64,11 @@ class ExactnessProblem:
             validate_lie_character(self.c, self.group)
         if self.weights.rank != self.group.rank:
             raise InvalidParameter("weights, character and group rank disagree")
-        validate_weyl_stable(self.weights.cleared[1], self.group)
+        self.shape  # a new shape is checked for W-stability here
+
+    @cached_property
+    def shape(self) -> Shape:
+        return shape_of(self.weights, self.group)
 
 
 @dataclass(frozen=True)
@@ -124,12 +135,19 @@ def stratum_semigroup(
 
     Exposed separately so invariance tests can feed rescaled directions.
     """
-    sd = compute_shift(beta, problem.weights, problem.group)
-    if problem.strictness == "slice":
-        gens = sd.semigroup_generators
-    else:
-        gens = full_space_generators(beta, problem.weights, problem.group)
+    sd, gens = _shift(problem.shape.key, beta, problem.strictness)
     return sd, semigroup_from_generators(gens)
+
+
+# keyed by the shape's value, not its record: a sweep that outlives the
+# record finds its directions here still
+@lru_cache(maxsize=1024)
+def _shift(shape: Keyed, beta: Vector, strictness: str) -> tuple[ShiftData, tuple[Fraction, ...]]:
+    group, ws = shape.data
+    sd = compute_shift(beta, ws, group)
+    if strictness == "slice":
+        return sd, sd.semigroup_generators
+    return sd, full_space_generators(beta, ws, group)
 
 
 def check(problem: ExactnessProblem) -> ExactnessVerdict:

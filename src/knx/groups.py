@@ -49,6 +49,31 @@ class GroupData:
         pairs = (clear_denominators([s, self.form.covector(s)])[1] for s in self.simple_roots)
         return tuple((s, qs, dot(s, qs)) for s, qs in pairs)
 
+    @cached_property
+    def key(self) -> "Keyed":
+        """The group as a cache key, by value: its label and its roots,
+        simple roots and form, each cleared to integers, carrying the group.
+        Equal keys give equal strata, dominant keys and shifts."""
+        simple = tuple(s for s, _, _ in self.reflections)
+        return Keyed((self.label, self.int_roots, simple, self.form.cleared), self)
+
+
+class Keyed:
+    """A cache argument that hashes and compares by ``key`` alone and
+    carries ``data``, what a miss builds from.  So a cache holds one entry
+    per value of the key, and neither hashes nor compares the data."""
+
+    __slots__ = ("key", "data", "_hash")
+
+    def __init__(self, key, data=None):
+        self.key, self.data, self._hash = key, data, hash(key)
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, Keyed) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 def _reflect(w: Sequence[int], p: int, s: IntVector, qss: int) -> IntVector:
     """Q(S, S) times the reflection of w in S, for p = Q(w, S) on the table's scale."""
@@ -122,16 +147,17 @@ def _require_base(group: GroupData) -> None:
             )
 
 
+# the presets are frozen, so one instance per rank or n serves the process
+# and its cached tables (int_roots, reflections, the form's cleared rows,
+# the key) are built once; the last 8 of each stay, gl(100) with its tables
+# in about 11 MiB
+@lru_cache(maxsize=8)
 def torus(rank: int) -> GroupData:
     if rank < 1:
         raise InvalidParameter("rank must be >= 1")
     return GroupData(rank, (), (), GramForm.identity(rank), f"torus({rank})")
 
 
-# gl(n) and sl(n) are frozen, so one instance per n serves the whole
-# process and its cached tables (int_roots, reflections, the form's cleared
-# rows) are built once; the last 8 of each stay, gl(100) with its tables in
-# about 11 MiB
 @lru_cache(maxsize=8)
 def gl(n: int) -> GroupData:
     if n < 1:
@@ -167,8 +193,17 @@ def sl(n: int) -> GroupData:
 
 
 def product(factors: Sequence[GroupData]) -> GroupData:
+    """The product group; one instance per sequence of factor keys, the
+    last 8 of them kept, since its dense roots and form take O(rank) per
+    root and O(rank^2) to build: 0.04 s for gl(60) x gl(1)."""
     if not factors:
         raise InvalidParameter("product needs at least one factor")
+    return _product(Keyed(tuple(g.key for g in factors), tuple(factors)))
+
+
+@lru_cache(maxsize=8)
+def _product(key: Keyed) -> GroupData:
+    factors = key.data
     rank = sum(g.rank for g in factors)
     roots: list[Vector] = []
     simple: list[Vector] = []

@@ -42,6 +42,15 @@ table weight.  ``_orbit_plan`` computes it once per shape per process and
 keeps it, so a sweep over chi or c, or any reordering or rescaling of the
 same weights, pays for the plan on its first call only; the solves on the
 plan's flats run on every call.
+
+More than the plan depends on neither chi nor c.  A ``Shape`` record is
+kept per group and weight multiset (its scale and mode): built on a miss,
+which checks that the Weyl group permutes the weights, it holds the
+pairing table of the distinct nonzero weights and the graph (the classes
+and the edges).  ``shape_of`` looks it up by value and keeps the last 8;
+each walk pairs chi with the table and checks chi on the classes.  The
+dominant keys of the walk's directions are kept per group, for the last
+1024 directions.
 """
 
 from __future__ import annotations
@@ -57,12 +66,14 @@ from .convex import (
     DEFAULT_VERTEX_CAP,
     ConeProjection,
     GramTable,
+    WeightTable,
     cone_support,
-    gram_table,
     min_norm_point,
+    weight_table,
+    with_chi,
 )
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter
-from .groups import GroupData, TorusCharacter, weyl_canonicalize
+from .groups import GroupData, Keyed, TorusCharacter, validate_weyl_stable, weyl_canonicalize
 from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
 from .scalars import Vector, vec_neg, vector
 
@@ -113,6 +124,13 @@ class WeightSystem:
             return ints + tuple(tuple(-a for a in w) for w in ints)
         return ints
 
+    @cached_property
+    def key(self) -> Keyed:
+        """The weights as a cache key: the mode, the scale d of ``cleared``
+        and the sorted d*w, so any order of the same weights gives one key."""
+        d, ints = self.cleared
+        return Keyed((self.mode, d, tuple(sorted(ints))))
+
 
 def weight_system(weights: Sequence[Sequence], mode: str = "cotangent") -> WeightSystem:
     return WeightSystem(tuple(vector(w) for w in weights), mode)
@@ -153,6 +171,63 @@ class KNResult:
     orientation: str
 
 
+@dataclass(frozen=True)
+class Shape:
+    """What a problem's strata and shifts use besides chi and c: a group
+    and a weight multiset, on one scale and in one mode.
+
+    ``key`` is the value the record is kept under, (group.key, ws.key), and
+    carries the group and the first weight system of this shape seen, in
+    its own order; everything read from it here is the same for any order.
+    The chi-free table and the graph are built on the first walk, after
+    that call's cap check.
+    """
+
+    key: Keyed
+
+    @cached_property
+    def table(self) -> WeightTable:
+        """The distinct nonzero stratify weights, in the order of their
+        Fraction vectors (one positive scale keeps it), paired."""
+        group, ws = self.key.data
+        nonzero = sorted({w for w in ws.int_stratify_weights if any(w)})
+        vectors = dict(zip(ws.int_stratify_weights, ws.stratify_weights))
+        # the distinct nonzero +-w have the denominators of the w: one scale
+        return weight_table([vectors[w] for w in nonzero], group.form, (ws.cleared[0], nonzero))
+
+    @cached_property
+    def graph(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
+        return _graphic(self.table, self.key.data[0])
+
+
+def shape_of(ws: WeightSystem, group: GroupData) -> Shape:
+    """The record of the shape of (ws, group), looked up by value.
+
+    A miss checks that the Weyl group permutes the weights and raises
+    ``InvalidParameter`` if it does not; such a shape is not kept.
+    """
+    return _shapes(_shape_key(ws, group))
+
+
+def _shape_key(ws: WeightSystem, group: GroupData) -> Keyed:
+    return Keyed((group.key, ws.key), (group, ws))
+
+
+# the records of the last 8 shapes stay in the process: a gl(12) record
+# with its table and graph takes about 0.36 MiB, its key included
+@lru_cache(maxsize=8)
+def _shapes(key: Keyed) -> Shape:
+    group, ws = key.data
+    validate_weyl_stable(ws.cleared[1], group)
+    return Shape(key)
+
+
+# the dominant keys of the last 1024 directions, per group
+@lru_cache(maxsize=1024)
+def _dominant(group: Keyed, beta: Vector) -> Vector:
+    return weyl_canonicalize(beta, group.data)
+
+
 def span_candidates(
     ws: WeightSystem,
     chi: TorusCharacter,
@@ -163,28 +238,32 @@ def span_candidates(
     """Yield (pairing table, certified cone projection) per distinct span.
 
     The table holds the distinct nonzero weights and is shared by every
-    flat; a projection's members are the table weights in its flat.  The
-    origin is an implicit vertex of every flat.  The same generator feeds
-    both the symbolic enumeration and the concrete-eps oracle, which
-    re-solves each flat independently.  With ``orbits`` a graphic problem
+    flat, and its chi-free part by every call of the shape; a projection's
+    members are the table weights in its flat.  The origin is an implicit
+    vertex of every flat.  The same generator feeds both the symbolic
+    enumeration and the concrete-eps oracle, which re-solves each flat
+    independently.  With ``orbits`` a graphic problem
     yields only the flat of each Weyl orbit that the full walk meets first,
     in the full walk's order (see the module docstring).
     """
     if len(chi.vec) != ws.rank or group.rank != ws.rank:
         raise InvalidParameter("weights, character and group rank disagree")
-    # the distinct weights in the order of their Fraction vectors: one
-    # positive scale keeps it
-    ints = ws.int_stratify_weights
-    distinct = sorted(set(ints))
-    if len(distinct) + 1 > cap:
-        raise CapExceeded(f"{len(distinct)} distinct weights exceed the cap of {cap}")
-    nonzero = [w for w in distinct if any(w)]
-    vectors = dict(zip(ints, ws.stratify_weights))
-    # the distinct nonzero +-w have the denominators of the w: one scale
-    table = gram_table([vectors[w] for w in nonzero], chi.vec, group.form,
-                       (ws.cleared[0], nonzero))
-    graph = _graphic(table, group) if orbits else None
-    if graph is not None:
+    distinct = len(set(ws.int_stratify_weights))
+    if distinct + 1 > cap:
+        raise CapExceeded(f"{distinct} distinct weights exceed the cap of {cap}")
+    key = _shape_key(ws, group)
+    try:
+        shape = _shapes(key)
+    except InvalidParameter:
+        # weights the Weyl group does not permute, which ExactnessProblem
+        # refuses, can still be walked: a record of this call alone
+        shape = Shape(key)
+    table = with_chi(shape.table, chi.vec)
+    graph = shape.graph if orbits else None
+    # (d) asks for chi constant on each class; a class is named by one of
+    # its coordinates
+    if graph is not None and all(table.int_chi[i] == table.int_chi[k]
+                                 for i, k in enumerate(graph[0])):
         for members in _orbit_plan(*graph):
             yield table, min_norm_point(table, members)
         return
@@ -225,11 +304,12 @@ def span_candidates(
 
 
 def _graphic(
-    table: GramTable, group: GroupData
+    table: WeightTable, group: GroupData
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
     """(the class of each coordinate, the edge of each table weight) when
-    (a)-(d) of the module docstring hold, else None.  Vertex 0 is the
-    ground and coordinate i is vertex i + 1."""
+    (a)-(c) and the weights' half of (d) in the module docstring hold, else
+    None.  Vertex 0 is the ground and coordinate i is vertex i + 1; a class
+    is named by one of its coordinates."""
     if not group.simple_roots or not group.form.is_identity:
         return None
     kinds = list(range(group.rank))
@@ -252,8 +332,6 @@ def _graphic(
             return None
     weights = set(table.int_weights)
     for a, b in swaps:
-        if table.int_chi[a] != table.int_chi[b]:
-            return None
         for w in table.int_weights:
             if w[a] != w[b]:
                 swapped = list(w)
@@ -452,7 +530,7 @@ def enumerate_kn(
             beta = beta_pos
         else:
             beta, ints = beta_neg, tuple(-a for a in ints)
-        dominant = weyl_canonicalize(beta, group)
+        dominant = _dominant(group.key, beta)
         if dominant in found:
             continue
         if not index:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-import knx.engine
+import knx.strata
 from knx.cli import main
 from knx.groups import validate_weyl_stable
 from knx.scalars import GramForm
@@ -258,7 +258,9 @@ def test_orientation_flag_validates_the_problem_once(capsys, monkeypatch):
         calls.append(args)
         return validate_weyl_stable(*args)
 
-    monkeypatch.setattr(knx.engine, "validate_weyl_stable", counted)
+    # the check runs when a shape's record is built: start from none
+    knx.strata._shapes.cache_clear()
+    monkeypatch.setattr(knx.strata, "validate_weyl_stable", counted)
     code, out, _ = run(
         capsys, "strata", GOLDEN_DIR / "cherednik_n3.json", "--orientation", "positive"
     )

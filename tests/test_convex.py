@@ -150,7 +150,8 @@ def test_vertex_cap(monkeypatch):
         raise AssertionError("pairing computed before the cap check")
 
     monkeypatch.setattr(GramForm, "apply", no_pairing)
-    monkeypatch.setattr(knx.strata, "gram_table", no_pairing)
+    monkeypatch.setattr(knx.strata, "weight_table", no_pairing)
+    monkeypatch.setattr(knx.strata, "with_chi", no_pairing)
     ws = weight_system([[str(i), "0"] for i in range(5)], "raw")
     chi = TorusCharacter(vector(["0", "1"]))
     with pytest.raises(CapExceeded):

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-import knx.groups
-import knx.strata
+from conftest import clear_caches
 from golden_reports import calls, golden_problems, report_path, run_call
 
 
@@ -17,11 +16,11 @@ def test_reports_match_snapshot(problem):
 
 @pytest.mark.parametrize("problem", golden_problems(), ids=lambda p: p.stem)
 def test_reports_match_snapshot_cold_and_warm(problem):
-    # each call once with the orbit plans and preset groups built afresh,
-    # then once more on what that call left in the caches
+    # each call once with the orbit plans, shape records, per-direction
+    # data and groups built afresh, then once more on what that call left
+    # in the caches
     expected = json.loads(report_path(problem).read_text(encoding="utf-8"))
     for call in calls():
-        for cache in (knx.strata._orbit_plan, knx.groups.gl, knx.groups.sl):
-            cache.cache_clear()
+        clear_caches()
         cold = run_call(problem, call)
         assert cold == run_call(problem, call) == expected[" ".join(call)], " ".join(call)

@@ -66,6 +66,20 @@ def test_product_preset():
     assert vector(["1", "-1", "0"]) in g2.roots
 
 
+def test_presets_and_products_are_built_once_per_value():
+    assert torus(3) is torus(3)
+    b2_again = group_data(2, [list(map(str, r)) for r in B2.roots],
+                          [list(map(str, r)) for r in B2.simple_roots])
+    assert b2_again is not B2 and b2_again.key == B2.key
+    # equal factors, even groups built apart, give the one product
+    assert product([gl(2), B2, torus(1)]) is product([gl(2), b2_again, torus(1)])
+    # another order of the factors is another group
+    assert product([torus(1), gl(2)]) is not product([gl(2), torus(1)])
+    assert product([torus(1), gl(2)]).roots != product([gl(2), torus(1)]).roots
+    # a factor that differs in its form alone is another factor
+    assert product([A1_DIAG]) is not product([group_data(2, [["1", "0"], ["-1", "0"]], [["1", "0"]])])
+
+
 def test_preset_rejects_bad_sizes():
     with pytest.raises(InvalidParameter):
         gl(0)
