@@ -1,15 +1,16 @@
 """Reductive group presets and custom root data.
 
 A group is stored as torus data only: rank, the nonzero weights of the
-adjoint action (roots), a base of them (simple roots) and the invariant
-form Q.  The Weyl group is never materialized: every use of it reflects
-integer vectors in the simple roots, at most |roots| times to canonicalize.
+adjoint action (roots) as one sparse integer table, a base of them (simple
+roots) and the invariant form Q.  The Weyl group is never materialized:
+every use of it reflects integer vectors in the simple roots, at most
+|roots| times to canonicalize.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -22,26 +23,25 @@ from .scalars import GramForm, Vector, vector
 
 @dataclass(frozen=True)
 class GroupData:
+    """``int_roots`` holds the roots: (d, the nonzero (i, d*r_i) of each root
+    r, in root order) for the least d > 0 that clears them.  A gl(n) table
+    has 2n(n-1) entries, so pairing a vector with every root is O(n^2)."""
+
     rank: int
-    roots: tuple[Vector, ...]
+    int_roots: tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
     simple_roots: tuple[Vector, ...]
     form: GramForm
     label: str = "custom"
 
     @property
     def is_torus(self) -> bool:
-        return not self.roots
+        return not self.int_roots[1]
 
     @cached_property
-    def int_roots(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(d, the nonzero (i, d*r_i) of each root r) for the least d > 0 that
-        clears them: a gl(n) root has two nonzero entries of n, so pairing
-        one vector with every root is O(n^2), not O(n^3).  ``gl``, ``sl``
-        and ``product`` hand it over built; other groups scan their dense
-        roots once."""
-        sparse = [[(i, x) for i, x in enumerate(r) if x] for r in self.roots]
-        d = lcm(1, *(x.denominator for r in sparse for _, x in r))
-        return d, tuple(tuple((i, x.numerator * (d // x.denominator)) for i, x in r) for r in sparse)
+    def roots(self) -> tuple[Vector, ...]:
+        """The dense ``Fraction`` roots, O(rank) each: only custom-data checks read them."""
+        d, table = self.int_roots
+        return tuple(_dense(r, d, self.rank) for r in table)
 
     @cached_property
     def reflections(self) -> tuple[tuple[IntVector, IntVector, int], ...]:
@@ -112,16 +112,20 @@ def group_data(
             raise InvalidParameter("root length does not match rank")
         if all(x == 0 for x in r):
             raise InvalidParameter("zero vector is not a root")
-    root_set = set(root_vecs)
+    counts = Counter(root_vecs)
     for r in root_vecs:
-        if tuple(-x for x in r) not in root_set:
+        # a repeated root would count twice in the nilpotent part of a shift
+        if counts[r] > 1:
+            raise InvalidParameter(f"the root {tuple(map(str, r))} is listed more than once")
+        if tuple(-x for x in r) not in counts:
             raise InvalidParameter(f"roots not closed under negation: {r}")
-    group = GroupData(rank, root_vecs, simple_vecs, q, label)
-    distinct = clear_denominators(list(root_set))[1]
+    den, ints = clear_denominators(root_vecs)
+    table = tuple(tuple((i, x) for i, x in enumerate(r) if x) for r in ints)
+    group = GroupData(rank, (den, table), simple_vecs, q, label)
     for s, reflection in zip(simple_vecs, group.reflections):
-        if s not in root_set:
+        if s not in counts:
             raise InvalidParameter("every simple root must be a root")
-        if not _permutes(distinct, *reflection):
+        if not _permutes(ints, *reflection):
             raise InvalidParameter("a simple reflection does not preserve the roots")
     _require_base(group)
     return group
@@ -147,55 +151,38 @@ def _require_base(group: GroupData) -> None:
             )
 
 
-# the presets are frozen, so one instance per rank or n serves the process
-# and its cached tables (int_roots, reflections, the form's cleared rows,
-# the key) are built once; the last 8 of each stay, gl(100) with its tables
-# in about 11 MiB
+# the presets are frozen, so one instance per rank or n, with its cached
+# tables, serves the process; the last 8 of each stay
 @lru_cache(maxsize=8)
 def torus(rank: int) -> GroupData:
     if rank < 1:
         raise InvalidParameter("rank must be >= 1")
-    return GroupData(rank, (), (), GramForm.identity(rank), f"torus({rank})")
+    return GroupData(rank, (1, ()), (), GramForm.identity(rank), f"torus({rank})")
 
 
 @lru_cache(maxsize=8)
 def gl(n: int) -> GroupData:
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    roots = []
-    sparse = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                r = [Fraction(0)] * n
-                r[i], r[j] = Fraction(1), Fraction(-1)
-                roots.append(tuple(r))
-                sparse.append(((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1)))
-    simple = []
-    for i in range(n - 1):
-        r = [Fraction(0)] * n
-        r[i], r[i + 1] = Fraction(1), Fraction(-1)
-        simple.append(tuple(r))
-    group = GroupData(n, tuple(roots), tuple(simple), GramForm.identity(n), f"gl({n})")
-    # the nonzero entries of each root are known here: no dense scan
-    vars(group)["int_roots"] = (1, tuple(sparse))
-    return group
+    roots = tuple(
+        ((i, 1), (j, -1)) if i < j else ((j, -1), (i, 1))
+        for i in range(n) for j in range(n) if i != j
+    )
+    simple = tuple(_dense(((i, 1), (i + 1, -1)), 1, n) for i in range(n - 1))
+    return GroupData(n, (1, roots), simple, GramForm.identity(n), f"gl({n})")
 
 
 @lru_cache(maxsize=8)
 def sl(n: int) -> GroupData:
     """sl(n) on the rank-n coordinate lattice; the trace-zero constraint is
     recorded in the label, characters live modulo (1,...,1)."""
-    g = gl(n)
-    group = GroupData(g.rank, g.roots, g.simple_roots, g.form, f"sl({n})")
-    vars(group)["int_roots"] = g.int_roots
-    return group
+    return replace(gl(n), label=f"sl({n})")
 
 
 def product(factors: Sequence[GroupData]) -> GroupData:
     """The product group; one instance per sequence of factor keys, the
-    last 8 of them kept, since its dense roots and form take O(rank) per
-    root and O(rank^2) to build: 0.04 s for gl(60) x gl(1)."""
+    last 8 of them kept, since its simple roots and form take O(rank^2)
+    to build."""
     if not factors:
         raise InvalidParameter("product needs at least one factor")
     return _product(Keyed(tuple(g.key for g in factors), tuple(factors)))
@@ -205,35 +192,22 @@ def product(factors: Sequence[GroupData]) -> GroupData:
 def _product(key: Keyed) -> GroupData:
     factors = key.data
     rank = sum(g.rank for g in factors)
-    roots: list[Vector] = []
-    simple: list[Vector] = []
-    rows = [[Fraction(0)] * rank for _ in range(rank)]
-    # the factors' sparse root tables, shifted and brought to one scale
+    zero = (Fraction(0),) * rank
+    # the factors' dense rows padded with zeros, their root tables shifted to one scale
     scale = lcm(1, *(g.int_roots[0] for g in factors))
-    sparse = []
+    simple: list[Vector] = []
+    rows: list[Vector] = []
+    roots = []
     offset = 0
     for g in factors:
-        for r in g.roots:
-            roots.append(_embed(r, offset, rank))
-        for r in g.simple_roots:
-            simple.append(_embed(r, offset, rank))
-        for i in range(g.rank):
-            for j in range(g.rank):
-                rows[offset + i][offset + j] = g.form.rows[i][j]
+        before, after = zero[:offset], zero[offset + g.rank:]
+        simple.extend(before + r + after for r in g.simple_roots)
+        rows.extend(before + r + after for r in g.form.rows)
         d, table = g.int_roots
-        sparse.extend(tuple((offset + i, x * (scale // d)) for i, x in r) for r in table)
+        roots.extend(tuple((offset + i, x * (scale // d)) for i, x in r) for r in table)
         offset += g.rank
     label = "x".join(g.label for g in factors)
-    group = GroupData(rank, tuple(roots), tuple(simple), GramForm(tuple(tuple(r) for r in rows)), label)
-    vars(group)["int_roots"] = (scale, tuple(sparse))
-    return group
-
-
-def _embed(v: Vector, offset: int, rank: int) -> Vector:
-    out = [Fraction(0)] * rank
-    for i, x in enumerate(v):
-        out[offset + i] = x
-    return tuple(out)
+    return GroupData(rank, (scale, tuple(roots)), tuple(simple), GramForm(tuple(rows)), label)
 
 
 def weyl_canonicalize(v: Vector, group: GroupData) -> Vector:
@@ -244,7 +218,7 @@ def weyl_canonicalize(v: Vector, group: GroupData) -> Vector:
     Reflects the integers den * v, one gcd per step, at most |roots| times.
     """
     den, (current,) = clear_denominators([v])
-    for _ in range(len(group.roots) + 1):
+    for _ in range(len(group.int_roots[1]) + 1):
         for s, qs, qss in group.reflections:
             if (p := dot(current, qs)) < 0:
                 current = _reflect(current, p, s, qss)
@@ -315,8 +289,16 @@ def _require_invariant(what: str, vec: Vector, group: GroupData) -> None:
         raise InvalidParameter(f"{what} length does not match rank")
     # q*vec is formed once and cleared; each root visits its nonzero entries
     _, (qv,) = clear_denominators([group.form.covector(vec)])
-    for r, root in zip(group.roots, group.int_roots[1]):
+    d, table = group.int_roots
+    for root in table:
         if sum(x * qv[i] for i, x in root):
-            raise InvalidParameter(
-                f"{what} does not vanish on the root {tuple(map(str, r))}"
-            )
+            text = tuple(map(str, _dense(root, d, group.rank)))
+            raise InvalidParameter(f"{what} does not vanish on the root {text}")
+
+
+def _dense(root: Sequence[tuple[int, int]], d: int, rank: int) -> Vector:
+    """The dense ``Fraction`` vector of a root's nonzero (i, d*r_i) entries."""
+    out = [Fraction(0)] * rank
+    for i, x in root:
+        out[i] = Fraction(x, d)
+    return tuple(out)

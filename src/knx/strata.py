@@ -72,7 +72,7 @@ from .convex import (
     weight_table,
     with_chi,
 )
-from .errors import CapExceeded, InternalInconsistency, InvalidParameter
+from .errors import CapExceeded, InvalidParameter
 from .groups import GroupData, Keyed, TorusCharacter, validate_weyl_stable, weyl_canonicalize
 from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
 from .scalars import Vector, vec_neg, vector

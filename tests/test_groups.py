@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from knx.errors import InvalidParameter, ZeroVector
 from knx.groups import (
     LieCharacter,
+    TorusCharacter,
     gl,
     group_data,
     primitive_rescale,
@@ -16,6 +18,7 @@ from knx.groups import (
     sl,
     torus,
     validate_lie_character,
+    validate_torus_character,
     validate_weyl_stable,
     weyl_canonicalize,
 )
@@ -169,17 +172,37 @@ def test_int_roots_equal_the_dense_scan(golden_dir):
         assert g.int_roots == dense_int_roots(g), g.label
 
 
+HALF = group_data(1, [["1/2"], ["-1/2"]], [["1/2"]], label="half")
+THIRD = group_data(2, [["1/3", "-1/3"], ["-1/3", "1/3"]], [["1/3", "-1/3"]], label="third")
+
+
 def test_product_int_roots_are_the_factors_tables_shifted():
-    # product seeds int_roots from its factors' tables, at their offsets and
-    # over the lcm of their scales; it must equal a scan of its dense roots
-    half = group_data(1, [["1/2"], ["-1/2"]], [["1/2"]], label="half")
-    third = group_data(2, [["1/3", "-1/3"], ["-1/3", "1/3"]], [["1/3", "-1/3"]], label="third")
-    groups = [product([gl(3), torus(1), sl(2)]), product([B2, half]),
-              product([half, gl(2), third]), product([product([third, torus(2)]), half])]
+    # product builds its table from its factors' tables, at their offsets and
+    # over the lcm of their scales; it must equal a scan of its dense roots,
+    # which are the factors' dense roots padded with zeros
+    groups = [product([gl(3), torus(1), sl(2)]), product([B2, HALF]),
+              product([HALF, gl(2), THIRD]), product([product([THIRD, torus(2)]), HALF])]
     for g in groups:
         assert "int_roots" in vars(g), g.label
         assert g.int_roots == dense_int_roots(g), g.label
     assert groups[2].int_roots[0] == 6
+    zero = vector(["0"])
+    assert groups[2].roots == (
+        tuple(r + zero * 4 for r in HALF.roots) + tuple(zero + r + zero * 2 for r in gl(2).roots)
+        + tuple(zero * 3 + r for r in THIRD.roots)
+    )
+
+
+def test_root_text_of_an_invariance_error():
+    # the root is rendered from the group's table, on its own scale
+    with pytest.raises(InvalidParameter, match=re.escape("chi does not vanish on the root ('1/2',)")):
+        validate_torus_character(TorusCharacter(vector(["1"])), HALF)
+    with pytest.raises(InvalidParameter,
+                       match=re.escape("chi does not vanish on the root ('0', '0', '1/2')")):
+        validate_torus_character(TorusCharacter(vector(["1", "1", "1"])), product([gl(2), HALF]))
+    with pytest.raises(InvalidParameter, match=re.escape(
+            "character base does not vanish on the root ('0', '1/3', '-1/3')")):
+        validate_lie_character(LieCharacter(vector(["0", "1", "0"])), product([HALF, THIRD]))
 
 
 def test_custom_group_validation():
@@ -191,6 +214,9 @@ def test_custom_group_validation():
     # reflection does not preserve the root set
     with pytest.raises(InvalidParameter):
         group_data(2, [["1", "0"], ["-1", "0"], ["1", "-1"], ["-1", "1"]], [["1", "-1"]])
+    # each root is listed once: a repeat counted twice in a shift
+    with pytest.raises(InvalidParameter, match=re.escape("the root ('1', '-1') is listed more than once")):
+        group_data(2, [["1", "-1"], ["-1", "1"]] * 2, [["1", "-1"]])
     # simple root must be a root
     with pytest.raises(InvalidParameter):
         group_data(2, [["1", "-1"], ["-1", "1"]], [["1", "0"]])
