@@ -5,8 +5,11 @@ locus in closed form for a parametric family.
 What depends on neither chi nor c is kept per shape (``strata.Shape``):
 a problem looks its shape up when it is built, which checks W-stability
 on a miss, and each signed direction's ``ShiftData`` and generators are
-kept for the last 1024 (shape, beta, strictness), by value.  The
-semigroups, c(beta) and everything after are computed on every call."""
+kept for the last 1024 (shape, beta, strictness), by value.  The strata
+depend on chi only through its ray and are kept by ``strata`` for the
+last 8 (shape, ray, orientation), so a sweep over c solves the flats
+once.  The semigroups, c(beta) and everything after are computed on
+every call."""
 
 from __future__ import annotations
 

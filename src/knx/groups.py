@@ -20,6 +20,9 @@ from .errors import InternalInconsistency, InvalidParameter, ZeroVector
 from .linalg import IntVector, clear_denominators, dot, solve_exact
 from .scalars import GramForm, Vector, vector
 
+# the nonzero (i, v_i) of an integer vector v
+Support = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class GroupData:
@@ -28,7 +31,7 @@ class GroupData:
     has 2n(n-1) entries, so pairing a vector with every root is O(n^2)."""
 
     rank: int
-    int_roots: tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+    int_roots: tuple[int, tuple[Support, ...]]
     simple_roots: tuple[Vector, ...]
     form: GramForm
     label: str = "custom"
@@ -44,10 +47,12 @@ class GroupData:
         return tuple(_dense(r, d, self.rank) for r in table)
 
     @cached_property
-    def reflections(self) -> tuple[tuple[IntVector, IntVector, int], ...]:
-        """(S, Q S, Q(S, S)) per simple root S, with S and Q S over one denominator."""
+    def reflections(self) -> tuple[tuple[IntVector, Support, int], ...]:
+        """(S, the nonzero (i, (Q S)_i), Q(S, S)) per simple root S, with S
+        and Q S over one denominator: a vector pairs with Q S on its
+        support alone, two entries for a root of gl(n)."""
         pairs = (clear_denominators([s, self.form.covector(s)])[1] for s in self.simple_roots)
-        return tuple((s, qs, dot(s, qs)) for s, qs in pairs)
+        return tuple((s, tuple((i, x) for i, x in enumerate(qs) if x), dot(s, qs)) for s, qs in pairs)
 
     @cached_property
     def key(self) -> "Keyed":
@@ -75,13 +80,18 @@ class Keyed:
         return self._hash
 
 
+def _pairing(w: Sequence[int], qs: Support) -> int:
+    """Q(w, S) on the table's scale, from the nonzero entries of Q S."""
+    return sum(w[i] * x for i, x in qs)
+
+
 def _reflect(w: Sequence[int], p: int, s: IntVector, qss: int) -> IntVector:
     """Q(S, S) times the reflection of w in S, for p = Q(w, S) on the table's scale."""
     return tuple(qss * a - 2 * p * b for a, b in zip(w, s))
 
 
-def _permutes(vectors: Sequence[IntVector], s: IntVector, qs: IntVector, qss: int) -> bool:
-    moved = [(w, p) for w in vectors if (p := dot(w, qs))]  # Q(W, S) = 0: W is fixed
+def _permutes(vectors: Sequence[IntVector], s: IntVector, qs: Support, qss: int) -> bool:
+    moved = [(w, p) for w in vectors if (p := _pairing(w, qs))]  # Q(W, S) = 0: W is fixed
     scaled = Counter(tuple(qss * a for a in w) for w, _ in moved)
     return scaled == Counter(_reflect(w, p, s, qss) for w, p in moved)
 
@@ -220,7 +230,7 @@ def weyl_canonicalize(v: Vector, group: GroupData) -> Vector:
     den, (current,) = clear_denominators([v])
     for _ in range(len(group.int_roots[1]) + 1):
         for s, qs, qss in group.reflections:
-            if (p := dot(current, qs)) < 0:
+            if (p := _pairing(current, qs)) < 0:
                 current = _reflect(current, p, s, qss)
                 g = gcd(den * qss, *current)
                 den, current = den * qss // g, tuple(a // g for a in current)

@@ -40,8 +40,7 @@ Which flats the orbit walk solves, and in which order, depends only on
 the problem's shape: the class of each coordinate and the edge of each
 table weight.  ``_orbit_plan`` computes it once per shape per process and
 keeps it, so a sweep over chi or c, or any reordering or rescaling of the
-same weights, pays for the plan on its first call only; the solves on the
-plan's flats run on every call.
+same weights, pays for the plan on its first call only.
 
 More than the plan depends on neither chi nor c.  A ``Shape`` record is
 kept per group and weight multiset (its scale and mode): built on a miss,
@@ -51,6 +50,18 @@ and the edges).  ``shape_of`` looks it up by value and keeps the last 8;
 each walk pairs chi with the table and checks chi on the classes.  The
 dominant keys of the walk's directions are kept per group, for the last
 1024 directions.
+
+The strata themselves depend on chi only through its ray: the cone
+projection is positively homogeneous, and the exact solve makes the same
+choices at any positive scale, so chi = lam * ray has the ray's strata
+with each direction times lam and each q-norm times lam^2.
+``_ray_strata`` walks the flats for the primitive integer ray and keeps,
+for the last 8 (shape, ray, orientation), each stratum in table terms:
+its direction, q-norm, betas and dominant key, the table indices of its
+defining subset and Q(W_t, beta) per table index.  ``enumerate_kn``
+checks the orientation, the ranks and the cap on every call, then scales
+the kept strata and reads their indices in the call's weight order; so a
+sweep over c solves the flats once.  The oracle's walk is never kept.
 """
 
 from __future__ import annotations
@@ -59,8 +70,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
-from typing import Iterator, Sequence
+from math import gcd, inf
+from typing import Iterator, NamedTuple, Sequence
 
 from .convex import (
     DEFAULT_VERTEX_CAP,
@@ -75,7 +86,7 @@ from .convex import (
 from .errors import CapExceeded, InvalidParameter
 from .groups import GroupData, Keyed, TorusCharacter, validate_weyl_stable, weyl_canonicalize
 from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
-from .scalars import Vector, vec_neg, vector
+from .scalars import Vector, vec_neg, vec_scale, vector
 
 ORIENTATIONS = ("negative", "positive", "both")
 
@@ -232,7 +243,7 @@ def span_candidates(
     ws: WeightSystem,
     chi: TorusCharacter,
     group: GroupData,
-    cap: int = DEFAULT_VERTEX_CAP,
+    cap: float = DEFAULT_VERTEX_CAP,
     orbits: bool = False,
 ) -> Iterator[tuple[GramTable, ConeProjection]]:
     """Yield (pairing table, certified cone projection) per distinct span.
@@ -246,11 +257,7 @@ def span_candidates(
     yields only the flat of each Weyl orbit that the full walk meets first,
     in the full walk's order (see the module docstring).
     """
-    if len(chi.vec) != ws.rank or group.rank != ws.rank:
-        raise InvalidParameter("weights, character and group rank disagree")
-    distinct = len(set(ws.int_stratify_weights))
-    if distinct + 1 > cap:
-        raise CapExceeded(f"{distinct} distinct weights exceed the cap of {cap}")
+    _check_sizes(ws, chi, group, cap)
     key = _shape_key(ws, group)
     try:
         shape = _shapes(key)
@@ -301,6 +308,16 @@ def span_candidates(
                     found.append(bigger)
             yield table, min_norm_point(table, sorted(members))
         level = rref_sorted(found)
+
+
+def _check_sizes(ws: WeightSystem, chi: TorusCharacter, group: GroupData, cap: float) -> None:
+    """The rank and cap checks of every walk and every enumeration."""
+    if len(chi.vec) != ws.rank or group.rank != ws.rank:
+        raise InvalidParameter("weights, character and group rank disagree")
+    weights = ws.int_stratify_weights
+    # the count of weights bounds the count of distinct ones
+    if len(weights) + 1 > cap and (distinct := len(set(weights))) + 1 > cap:
+        raise CapExceeded(f"{distinct} distinct weights exceed the cap of {cap}")
 
 
 def _graphic(
@@ -500,19 +517,83 @@ def enumerate_kn(
     orientation: str = "negative",
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> KNResult:
-    """Enumerate the KN one-parameter subgroups for the character chi."""
+    """Enumerate the KN one-parameter subgroups for the character chi.
+
+    The strata of the ray of chi are kept (``_ray_strata``): for chi =
+    lam * ray with lam > 0, each direction is lam times the ray's and each
+    q-norm lam^2 times, and the indices are read in this call's weight
+    order."""
     if orientation not in ORIENTATIONS:
         raise InvalidParameter(f"unknown orientation {orientation!r}")
-    q = group.form
+    _check_sizes(ws, chi, group, cap)
+    d, (ints,) = clear_denominators([chi.vec])
+    g = gcd(*ints) or d  # chi = 0 is its own ray
+    ray = tuple(a // g for a in ints)
+    lam = None if g == d else Fraction(g, d)
+    strata, semistable, int_weights = _ray_strata(_shape_key(ws, group), ray, orientation)
+    # per stratify weight its table index (None for a zero weight), and
+    # per table index its first stratify weight
+    position = {w: t for t, w in enumerate(int_weights)}
+    index = [position.get(w) for w in ws.int_stratify_weights]
+    first: dict[int | None, int] = {}
+    for i, t in enumerate(index):
+        first.setdefault(t, i)
+    found = []
+    for s in strata:
+        plus, zero_idx, minus = [], [], []
+        for i, t in enumerate(index):
+            p = 0 if t is None else s.pairings[t]
+            (plus if p > 0 else zero_idx if p == 0 else minus).append(i)
+        found.append(KNStratum(
+            direction=s.direction if lam is None else vec_scale(lam, s.direction),
+            beta_neg=s.beta_neg,
+            beta_pos=s.beta_pos,
+            beta=s.beta,
+            beta_dominant=s.beta_dominant,
+            q_norm=s.q_norm if lam is None else lam * lam * s.q_norm,
+            defining_indices=tuple(sorted(first[t] for t in s.support)),
+            v_plus=tuple(plus),
+            v_zero=tuple(zero_idx),
+            v_minus=tuple(minus),
+        ))
+    return KNResult(tuple(found), semistable, orientation)
+
+
+class _RayStratum(NamedTuple):
+    """A stratum of a primitive integer chi, in table terms: ``support`` is
+    the table indices of the defining subset and ``pairings`` Q(W_t, beta)
+    for each table index t, on the table's scale."""
+
+    direction: Vector
+    q_norm: Fraction
+    beta_neg: Vector
+    beta_pos: Vector
+    beta: Vector
+    beta_dominant: Vector
+    support: tuple[int, ...]
+    pairings: tuple[int, ...]
+
+
+# the strata of the last 8 (shape, ray, orientation): a sweep over c, or
+# over chi along one ray, solves the walk's flats once
+@lru_cache(maxsize=8)
+def _ray_strata(
+    key: Keyed, ray: IntVector, orientation: str
+) -> tuple[tuple[_RayStratum, ...], bool, tuple[IntVector, ...]]:
+    """(the strata in order, whether the semistable locus is nonempty, the
+    table's integer weights) for chi = ray on the shape of ``key``."""
+    group, ws = key.data
+    chi = TorusCharacter(tuple(map(Fraction, ray)))
     semistable = False
-    found: dict[Vector, KNStratum] = {}
+    found: dict[Vector, _RayStratum] = {}
     # the integer betas seen before: their Weyl keys are in found already
     seen: set[IntVector] = set()
-    # per stratify weight its table index (None for a zero weight), and
-    # per table index its first stratify weight, once the table is known
-    index: list[int | None] = []
-    first: dict[int, int] = {}
-    for table, proj in span_candidates(ws, chi, group, cap, orbits=True):
+    int_weights: tuple[IntVector, ...] = ()
+    # the caller checked the cap
+    for table, proj in span_candidates(ws, chi, group, inf, orbits=True):
+        # the table clears its weights by the least common denominator of
+        # the same entries, so its integer weights are the shape's
+        int_weights = table.int_weights
         v = proj.int_direction
         if not any(v):
             semistable = True
@@ -533,31 +614,17 @@ def enumerate_kn(
         dominant = _dominant(group.key, beta)
         if dominant in found:
             continue
-        if not index:
-            # the table clears its weights by the least common denominator
-            # of the same entries, so its integer weights are these
-            position = {w: t for t, w in enumerate(table.int_weights)}
-            index = [position.get(w) for w in ws.int_stratify_weights]
-            for i, t in enumerate(index):
-                first.setdefault(t, i)
         # Q(W, beta) over the integer table has the sign of q(w, beta); a
         # zero weight is not in the table and pairs to 0
-        sign = [dot(c, ints) for c in table.covectors]
-        plus, zero_idx, minus = [], [], []
-        for i, t in enumerate(index):
-            s = 0 if t is None else sign[t]
-            (plus if s > 0 else zero_idx if s == 0 else minus).append(i)
-        found[dominant] = KNStratum(
+        found[dominant] = _RayStratum(
             direction=proj.direction,
+            q_norm=group.form.norm2(proj.direction),
             beta_neg=beta_neg,
             beta_pos=beta_pos,
             beta=beta,
             beta_dominant=dominant,
-            q_norm=q.norm2(proj.direction),
-            defining_indices=tuple(sorted(first[j] for j in cone_support(proj, table))),
-            v_plus=tuple(plus),
-            v_zero=tuple(zero_idx),
-            v_minus=tuple(minus),
+            support=cone_support(proj, table),
+            pairings=tuple(dot(c, ints) for c in table.covectors),
         )
     strata = sorted(found.values(), key=lambda s: (s.q_norm, s.beta_dominant))
-    return KNResult(tuple(strata), semistable, orientation)
+    return tuple(strata), semistable, int_weights

@@ -133,12 +133,13 @@ def test_oracle_at_the_largest_eps_den(capsys):
 
 def test_runs_on_the_standard_library_alone():
     # -I -S leaves out site-packages and PYTHONPATH, so a third-party import
-    # anywhere in the package fails here
+    # anywhere in the package fails here; -I also ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps bytecode out of the checkout
     src = GOLDEN_DIR.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import knx, knx.cli; "
             "sys.exit(knx.cli.main(['strata', sys.argv[2], '--json']))")
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(src), str(GOLDEN_DIR / "cherednik_n2.json")],
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(src), str(GOLDEN_DIR / "cherednik_n2.json")],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

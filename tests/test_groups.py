@@ -257,6 +257,28 @@ def test_weyl_stability_matches_permutation_invariance_on_gl3():
         assert is_weyl_stable(ws, g) == stable, ws
 
 
+def test_weyl_stability_pairs_each_weight_with_two_entries_per_gl_root(monkeypatch):
+    # Q S of a simple root of gl(n) has two nonzero entries: a weight pairs
+    # with those alone, 2 multiplications, not n
+    import knx.groups
+
+    pairing = knx.groups._pairing
+    products = []
+
+    def counted(w, qs):
+        products.append(len(qs))
+        return pairing(w, qs)
+
+    monkeypatch.setattr(knx.groups, "_pairing", counted)
+    n = 60
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    weights = units + [tuple(-a for a in w) for w in units]
+    validate_weyl_stable(weights, gl(n))
+    assert len(products) == len(weights) * (n - 1) and sum(products) == 2 * len(products)
+    with pytest.raises(InvalidParameter, match="does not permute the weights"):
+        validate_weyl_stable(units[:1], gl(n))
+
+
 def test_weyl_stability_under_a_weighted_form_and_fractions():
     assert is_weyl_stable([["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]], B2)
     assert not is_weyl_stable([["1", "0"], ["0", "1"]], B2)

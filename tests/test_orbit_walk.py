@@ -1,40 +1,59 @@
 """The orbit walk of ``span_candidates(..., orbits=True)`` against the full
 walk: the same ``KNResult`` from one flat per Weyl orbit, the orbit count,
 the fall back to the full walk when a problem is not graphic, and the
-per-process cache of orbit plans and preset groups."""
+per-process caches of orbit plans, strata per ray of chi and preset
+groups."""
 
 import random
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knx.strata
+from conftest import GOLDEN_DIR, clear_caches
 from knx.engine import cherednik_preset
+from knx.errors import CapExceeded, InvalidParameter
 from knx.groups import TorusCharacter, gl, group_data, sl, torus
+from knx.linalg import clear_denominators
 from knx.groups import product as group_product
+from knx.oracle import random_problem
 from knx.problemfile import load_problem
+from knx.scalars import vec_scale
 from knx.strata import WeightSystem, enumerate_kn, span_candidates, weight_system
 
 FULL_WALK = knx.strata.span_candidates
+# the strata kept per (shape, ray, orientation)
+KEPT = knx.strata._ray_strata
 UNCAPPED = 10**6
 
 
+@contextmanager
 def _full_walk(monkeypatch):
-    # every flat, whatever enumerate_kn asks for
+    # every flat, whatever enumerate_kn asks for; no strata kept before
+    # are read inside, and none kept inside are read after
     def full(ws, chi, group, cap, orbits=False):
         return FULL_WALK(ws, chi, group, cap)
 
-    monkeypatch.setattr(knx.strata, "span_candidates", full)
+    KEPT.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(knx.strata, "span_candidates", full)
+            yield
+    finally:
+        KEPT.cache_clear()
 
 
 def _both_walks(monkeypatch, ws, chi, group, orientation):
+    KEPT.cache_clear()
     orbit = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
-    with monkeypatch.context() as m:
-        _full_walk(m)
+    with _full_walk(monkeypatch):
         full = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
     return orbit, full
 
@@ -227,14 +246,23 @@ GL2_PROBLEMS = [(weight_system(GL2_WEIGHTS), ONES, gl(2)),
                 (weight_system(_shuffled(GL2_WEIGHTS, 3)), TorusCharacter((F(5, 2), F(5, 2))), gl(2))]
 
 
+def _counts(cache):
+    info = cache.cache_info()
+    return info.misses, info.hits, info.currsize
+
+
 def test_gl2_problems_of_one_shape_build_one_plan():
     PLAN.cache_clear()
+    KEPT.cache_clear()
     for ws, chi, group in GL2_PROBLEMS:
         enumerate_kn(ws, chi, group)
-    info = PLAN.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # chi on one ray: the second problem reads the kept strata, not the plan
+    assert _counts(PLAN) == (1, 0, 1) and _counts(KEPT) == (1, 1, 1)
     enumerate_kn(*GL2_PROBLEMS[0])
-    assert PLAN.cache_info().hits == 2
+    assert _counts(PLAN) == (1, 0, 1) and _counts(KEPT) == (1, 2, 1)
+    # another ray of the same shape walks again, on the kept plan
+    enumerate_kn(GL2_PROBLEMS[1][0], TorusCharacter((F(-1), F(-1))), gl(2))
+    assert _counts(PLAN) == (1, 1, 1) and _counts(KEPT) == (2, 2, 2)
 
 
 def test_a_cached_plan_reports_what_a_cold_plan_and_the_full_walk_report(monkeypatch):
@@ -244,9 +272,9 @@ def test_a_cached_plan_reports_what_a_cold_plan_and_the_full_walk_report(monkeyp
         warm = [enumerate_kn(*p, orientation, UNCAPPED) for p in problems]
         for problem, result in zip(problems, warm):
             PLAN.cache_clear()
+            KEPT.cache_clear()
             cold = enumerate_kn(*problem, orientation, UNCAPPED)
-            with monkeypatch.context() as m:
-                _full_walk(m)
+            with _full_walk(monkeypatch):
                 full = enumerate_kn(*problem, orientation, UNCAPPED)
             assert result == cold == full
 
@@ -263,10 +291,11 @@ def test_gl3_and_a_framed_gl2_x_gl1_keep_separate_plans():
     (kinds3, edges3), (kinds21, edges21) = [_shape(*p) for p in problems]
     assert edges3 == edges21 and kinds3 != kinds21
     PLAN.cache_clear()
+    KEPT.cache_clear()
     for problem in problems + problems:
         enumerate_kn(*problem)
-    info = PLAN.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # the second round reads the kept strata of each
+    assert _counts(PLAN) == (2, 0, 2) and _counts(KEPT) == (2, 2, 2)
     # B(4) = 15 flats each: S_3 leaves 7 orbits of them, S_2 leaves 11
     assert [_orbit_count(*p) for p in problems] == [7, 11]
 
@@ -276,3 +305,70 @@ def test_presets_are_one_group_per_n(n):
     assert gl(n) is gl(n)
     assert sl(n) is sl(n) and sl(n).label == f"sl({n})"
     assert sl(n).int_roots == gl(n).int_roots
+
+
+# the strata are kept per (shape, primitive ray of chi, orientation): chi =
+# lam * ray reports the ray's strata with each direction times lam and each
+# q-norm times lam^2
+B2XGL1 = load_problem(GOLDEN_DIR / "b2xgl1.json")
+RAY_CASES = [(p.weights, p.chi, p.group)
+             for p in [cherednik_preset(n) for n in (2, 3, 4)] + [B2XGL1]] + [FRAMED_GL2_GL1]
+
+
+@st.composite
+def scaled_problems(draw):
+    # a gl(n) preset, the framed gl(2) x gl(1), B2 x gl(1) (not graphic)
+    # or a random torus, its weights shuffled, and lam > 0
+    if draw(st.booleans()):
+        ws, chi, group = draw(st.sampled_from(RAY_CASES))
+    else:
+        p = random_problem(draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(0, 10**6)))
+        ws, chi, group = p.weights, p.chi, p.group
+    ws = WeightSystem(tuple(_shuffled(ws.w_weights, draw(st.integers(0, 99)))), ws.mode)
+    lam = draw(st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12))
+    return ws, chi, group, lam
+
+
+def _times(result, lam):
+    return replace(result, strata=tuple(replace(s, direction=vec_scale(lam, s.direction),
+                                                q_norm=lam * lam * s.q_norm)
+                                        for s in result.strata))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scaled_problems(), st.sampled_from(["negative", "positive", "both"]))
+def test_a_scaled_chi_reports_the_strata_of_its_ray_scaled(problem, orientation):
+    ws, chi, group, lam = problem
+    # the walk itself, uncached, at the primitive ray and at lam times it:
+    # the same strata, directions times lam and q-norms times lam^2
+    d, (ints,) = clear_denominators([chi.vec])
+    ray = tuple(a // (gcd(*ints) or d) for a in ints)
+    key = knx.strata._shape_key(ws, group)
+    strata, semistable, table = KEPT.__wrapped__(key, ray, orientation)
+    at_lam = KEPT.__wrapped__(key, tuple(lam * a for a in ray), orientation)
+    assert at_lam == (tuple(s._replace(direction=vec_scale(lam, s.direction),
+                                       q_norm=lam * lam * s.q_norm) for s in strata),
+                      semistable, table)
+    # enumerate_kn scales the kept strata and reads them in file order
+    scaled = TorusCharacter(vec_scale(lam, chi.vec))
+    clear_caches()
+    unscaled = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
+    clear_caches()
+    cold = enumerate_kn(ws, scaled, group, orientation, UNCAPPED)
+    assert cold == _times(unscaled, lam)
+    # chi now reads the strata that lam * chi kept
+    assert enumerate_kn(ws, chi, group, orientation, UNCAPPED) == unscaled
+    assert KEPT.cache_info().hits == 1
+
+
+def test_a_kept_entry_never_skips_the_cap():
+    ws, chi, group = GL2_PROBLEMS[0]
+    KEPT.cache_clear()
+    enumerate_kn(ws, chi, group)
+    assert KEPT.cache_info().currsize == 1
+    with pytest.raises(CapExceeded, match="^7 distinct weights exceed the cap of 5$"):
+        enumerate_kn(ws, chi, group, "negative", 5)
+    with pytest.raises(InvalidParameter, match="unknown orientation 'up'"):
+        enumerate_kn(ws, chi, group, "up")
+    with pytest.raises(InvalidParameter, match="weights, character and group rank disagree"):
+        enumerate_kn(ws, TorusCharacter((F(1),) * 3), group)

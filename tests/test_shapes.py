@@ -69,9 +69,13 @@ def test_a_shared_record_reports_what_cold_calls_and_the_full_walk_report(
         clear_caches()
         cold.append(_run(capsys, *call))
     walk = knx.strata.span_candidates
-    monkeypatch.setattr(knx.strata, "span_candidates",
-                        lambda ws, chi, group, cap, orbits=False: walk(ws, chi, group, cap))
-    full = [_run(capsys, *call) for call in calls]
+    kept = knx.strata._ray_strata
+    kept.cache_clear()  # the full walk reads no strata the orbit walk kept
+    with monkeypatch.context() as m:
+        m.setattr(knx.strata, "span_candidates",
+                  lambda ws, chi, group, cap, orbits=False: walk(ws, chi, group, cap))
+        full = [_run(capsys, *call) for call in calls]
+    kept.cache_clear()  # nor does a later walk read the full walk's
     assert warm == cold == full
     assert warm[0][1] != warm[4][1]  # the reports tell the two files apart
 
@@ -134,3 +138,23 @@ def test_shift_data_outlives_its_record(gl2_files):
     assert record() is None
     check(load_problem(str(gl2_files[1])))
     assert shifts.cache_info().misses == built
+
+
+def test_kept_strata_never_skip_the_cap_or_the_drop_check(gl2_files, tmp_path, capsys):
+    # both files are on one ray: after the first call every walk is kept
+    kept = knx.strata._ray_strata
+    kept.cache_clear()
+    for path in gl2_files:
+        assert _run(capsys, "strata", path)[0] == 0
+    assert (kept.cache_info().misses, kept.cache_info().hits) == (1, 1)
+    code, out, err = _run(capsys, "strata", gl2_files[1], "--max-weights", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: 7 distinct weights exceed the cap of 5 (raise it with --max-weights)\n"
+    data = json.loads(gl2_files[0].read_text())
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(json.dumps({**data, "drop_strata": [["7", "7"]]}))
+    code, out, err = _run(capsys, "check", dropped)
+    assert (code, out) == (2, "")
+    assert "dropped strata do not match any enumerated stratum: (7, 7)" in err
+    # the cap error came before the lookup; the drop check read the entry
+    assert (kept.cache_info().misses, kept.cache_info().hits) == (1, 2)
