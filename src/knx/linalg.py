@@ -17,20 +17,22 @@ exactly when their residuals are equal.  ``rref_sorted`` orders bases of
 one rank as their Fraction RREFs would be ordered, without building one:
 the RREF rows times the lcm of all their pivot entries are integer rows.
 
-The span walk of the strata path reduces each line by a basis and
-extends the basis once per distinct residual, and ``matrix_rank`` is
-the size of the basis of the rows.  ``solve_exact``
-takes only square integer systems: a Bareiss elimination with row
-pivoting, then back substitution to the integers det(A) * x, returned as
-(den, nums) in lowest terms, or None when the matrix is singular.  The
-passive solves of the cone projection call ``solve_exact`` on the integer
-Gram table, and each defining support makes one ``matrix_rank`` call to
-re-check its independence.  The oracle makes one ``matrix_rank`` call
-per closest-point search, for the affine rank of its vertices; it
-eliminates the supports' Gram minors itself, one chain at a time, and
-re-solves each winning support with one ``solve_exact``.  No Fraction is
-built here.  Sizes in this package stay in the single digits, so
-straightforward elimination is both fast enough and easy to audit.
+The flat enumeration of the strata path groups the lines off a flat by
+their residuals modulo its basis and extends the basis once per flat not
+met before; the residuals modulo that flat are the old ones reduced by
+the one new row.  ``matrix_rank`` is the size of the basis of the rows.
+``solve_exact`` takes only square integer systems: a Bareiss elimination
+with row pivoting, then back substitution to the integers det(A) * x,
+returned as (den, nums) in lowest terms, or None when the matrix is
+singular.  The passive solves of the cone projection call
+``solve_exact`` on the integer Gram table, and each defining support
+makes one ``matrix_rank`` call to re-check its independence.  The oracle
+makes one ``matrix_rank`` call per closest-point search, for the affine
+rank of its vertices; it eliminates the supports' Gram minors itself,
+one chain at a time, and re-solves each winning support with one
+``solve_exact``.  No Fraction is built here.  Sizes in this package stay
+in the single digits, so straightforward elimination is both fast enough
+and easy to audit.
 """
 
 from __future__ import annotations

@@ -12,9 +12,16 @@ the maximal subset with span(J), so evaluating one maximal subset per span
 (a flat) finds every stratum and every semistable witness.
 
 The full walk visits every flat, and the oracle re-solves each of them.
-Parallel weights lie in the same flats, so the walk tests one direction
-per line through the origin and lists a flat's members as every weight
-on its lines.
+Which flats there are, and in which order the full walk meets them,
+depends only on the shape (below), so they are enumerated once per shape
+and kept on its record (``Shape.flats``): the oracle, every chi ray and
+every orientation read the same tuple.  Parallel weights lie in the same
+flats, so the enumeration tests one direction per line through the origin
+and lists a flat's members as every weight on its lines.  It goes by rank
+and orders each rank by reduced row echelon form.  The lines off a flat
+fall into the flats that cover it by their residuals modulo its span, and
+a cover is deduplicated by its set of lines before any basis is extended,
+so a basis is extended once per flat.
 ``enumerate_kn`` needs one flat per Weyl orbit, since v(wF) = w v(F) when
 W permutes the weights and fixes chi and q; it walks the orbits when the
 problem is graphic, which ``_graphic`` checks on the integer table:
@@ -45,8 +52,9 @@ same weights, pays for the plan on its first call only.
 More than the plan depends on neither chi nor c.  A ``Shape`` record is
 kept per group and weight multiset (its scale and mode): built on a miss,
 which checks that the Weyl group permutes the weights, it holds the
-pairing table of the distinct nonzero weights and the graph (the classes
-and the edges).  ``shape_of`` looks it up by value and keeps the last 8;
+pairing table of the distinct nonzero weights, the graph (the classes and
+the edges) and, after a full walk, the flats: they live and die with the
+record.  ``shape_of`` looks it up by value and keeps the last 8;
 each walk pairs chi with the table and checks chi on the classes.  The
 dominant keys of the walk's directions are kept per group, for the last
 1024 directions.
@@ -70,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, inf
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .convex import (
@@ -85,7 +93,7 @@ from .convex import (
 )
 from .errors import CapExceeded, InvalidParameter
 from .groups import GroupData, Keyed, TorusCharacter, validate_weyl_stable, weyl_canonicalize
-from .linalg import IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
+from .linalg import IntBasis, IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
 from .scalars import Vector, vec_neg, vec_scale, vector
 
 ORIENTATIONS = ("negative", "positive", "both")
@@ -190,8 +198,8 @@ class Shape:
     ``key`` is the value the record is kept under, (group.key, ws.key), and
     carries the group and the first weight system of this shape seen, in
     its own order; everything read from it here is the same for any order.
-    The chi-free table and the graph are built on the first walk, after
-    that call's cap check.
+    The chi-free table and the graph are built on the first walk, and the
+    flats on the first full walk, after that call's cap check.
     """
 
     key: Keyed
@@ -209,6 +217,12 @@ class Shape:
     @cached_property
     def graph(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
         return _graphic(self.table, self.key.data[0])
+
+    @cached_property
+    def flats(self) -> tuple[tuple[int, ...], ...]:
+        """The table indices of the members of every flat, in the order of
+        the full walk."""
+        return _flats(self.table.int_weights)
 
 
 def shape_of(ws: WeightSystem, group: GroupData) -> Shape:
@@ -245,6 +259,7 @@ def span_candidates(
     group: GroupData,
     cap: float = DEFAULT_VERTEX_CAP,
     orbits: bool = False,
+    paired: tuple[Shape, GramTable] | None = None,
 ) -> Iterator[tuple[GramTable, ConeProjection]]:
     """Yield (pairing table, certified cone projection) per distinct span.
 
@@ -253,61 +268,79 @@ def span_candidates(
     members are the table weights in its flat.  The origin is an implicit
     vertex of every flat.  The same generator feeds both the symbolic
     enumeration and the concrete-eps oracle, which re-solves each flat
-    independently.  With ``orbits`` a graphic problem
-    yields only the flat of each Weyl orbit that the full walk meets first,
-    in the full walk's order (see the module docstring).
+    independently.  The full walk solves the shape's ``flats``; with
+    ``orbits`` a graphic problem yields only the flat of each Weyl orbit
+    that the full walk meets first, in the full walk's order (see the
+    module docstring).  ``paired`` is the shape's record and its table
+    paired with chi, for a caller that has checked the sizes and has them.
     """
-    _check_sizes(ws, chi, group, cap)
-    key = _shape_key(ws, group)
-    try:
-        shape = _shapes(key)
-    except InvalidParameter:
-        # weights the Weyl group does not permute, which ExactnessProblem
-        # refuses, can still be walked: a record of this call alone
-        shape = Shape(key)
-    table = with_chi(shape.table, chi.vec)
+    if paired is None:
+        _check_sizes(ws, chi, group, cap)
+        shape = _record(_shape_key(ws, group))
+        paired = shape, with_chi(shape.table, chi.vec)
+    shape, table = paired
     graph = shape.graph if orbits else None
     # (d) asks for chi constant on each class; a class is named by one of
     # its coordinates
     if graph is not None and all(table.int_chi[i] == table.int_chi[k]
                                  for i, k in enumerate(graph[0])):
-        for members in _orbit_plan(*graph):
-            yield table, min_norm_point(table, members)
-        return
+        plan = _orbit_plan(*graph)
+    else:
+        plan = shape.flats
+    for members in plan:
+        yield table, min_norm_point(table, members)
 
+
+def _record(key: Keyed) -> Shape:
+    try:
+        return _shapes(key)
+    except InvalidParameter:
+        # weights the Weyl group does not permute, which ExactnessProblem
+        # refuses, can still be walked: a record of this call alone
+        return Shape(key)
+
+
+def _flats(weights: Sequence[IntVector]) -> tuple[tuple[int, ...], ...]:
+    """The indices of the weights in each flat of their span, by rank, then
+    by the Fraction RREF of the flat's span."""
     # parallel weights lie in the same flats (a matroid and its
     # simplification have the same flats), so the walk tests one primitive
     # direction per line, its residual modulo the span {0}, and a flat
-    # holds every table weight on its lines
+    # holds every weight on its lines
     lines: dict[IntVector, list[int]] = {}
-    for i, w in enumerate(table.int_weights):
+    for i, w in enumerate(weights):
         lines.setdefault(span_residual((), w, ()), []).append(i)
-    # breadth-first over the canonical integer bases of the spans (each its
-    # own key), one rank per level, each level in the order of the spans'
-    # Fraction RREFs; reducing each line by a basis both lists the members
-    # of its flat (a zero residual) and finds the flats one rank up, one
-    # per distinct residual
-    seen = {()}
-    level = [()]
+    directions = list(lines)
+    on_line = list(lines.values())
+    # breadth-first, one rank per level, each level in the order of the
+    # canonical integer bases' Fraction RREFs.  A flat is known by its set
+    # of lines (a bit mask) and carries each line's residual modulo its
+    # span, None for its own lines.  The lines of a flat F and those with
+    # residual u make up the flat one rank up through u, so the residuals
+    # group the lines off F into the covers of F, and only a cover not met
+    # before extends a basis.  Modulo that cover a line's residual is its
+    # residual modulo F reduced by u alone: u is zero in F's pivot columns
+    flats = []
+    seen = {0}
+    level: list[tuple[IntBasis, int, list]] = [((), 0, directions)]
     while level:
-        found = []
-        for basis in level:
+        found: dict[IntBasis, tuple[int, list]] = {}
+        for basis, inside, residuals in level:
+            covers: dict[IntVector, int] = {}
+            for k, up in enumerate(residuals):
+                if up is not None:
+                    covers[up] = covers.get(up, inside) | 1 << k
             cols = pivots(basis)
-            members = []
-            ups = set()
-            for line, on_line in lines.items():
-                up = span_residual(basis, line, cols)
-                if up is None:
-                    members += on_line
-                else:
-                    ups.add(up)
-            for up in ups:
-                bigger = span_extend(basis, up, cols)
-                if bigger not in seen:
-                    seen.add(bigger)
-                    found.append(bigger)
-            yield table, min_norm_point(table, sorted(members))
-        level = rref_sorted(found)
+            for up, cover in covers.items():
+                if cover not in seen:
+                    seen.add(cover)
+                    p = pivots((up,))
+                    found[span_extend(basis, up, cols)] = cover, [
+                        None if cover >> k & 1 else span_residual((up,), r, p) if r[p[0]] else r
+                        for k, r in enumerate(residuals)]
+            flats.append(tuple(sorted(i for k, on in enumerate(on_line) if inside >> k & 1 for i in on)))
+        level = [(basis, *found[basis]) for basis in rref_sorted(list(found))]
+    return tuple(flats)
 
 
 def _check_sizes(ws: WeightSystem, chi: TorusCharacter, group: GroupData, cap: float) -> None:
@@ -583,14 +616,17 @@ def _ray_strata(
     """(the strata in order, whether the semistable locus is nonempty, the
     table's integer weights) for chi = ray on the shape of ``key``."""
     group, ws = key.data
-    chi = TorusCharacter(tuple(map(Fraction, ray)))
+    shape = _record(key)
+    form_scale, int_form = group.form.cleared
     semistable = False
     found: dict[Vector, _RayStratum] = {}
     # the integer betas seen before: their Weyl keys are in found already
     seen: set[IntVector] = set()
     int_weights: tuple[IntVector, ...] = ()
-    # the caller checked the cap
-    for table, proj in span_candidates(ws, chi, group, inf, orbits=True):
+    # the caller checked the sizes; an integer ray clears to itself, so no
+    # Fraction is built for it
+    paired = shape, with_chi(shape.table, ray)
+    for table, proj in span_candidates(ws, None, group, orbits=True, paired=paired):
         # the table clears its weights by the least common denominator of
         # the same entries, so its integer weights are the shape's
         int_weights = table.int_weights
@@ -618,7 +654,8 @@ def _ray_strata(
         # zero weight is not in the table and pairs to 0
         found[dominant] = _RayStratum(
             direction=proj.direction,
-            q_norm=group.form.norm2(proj.direction),
+            # q(v, v) = Q(V, V) / (form_scale * scale^2)
+            q_norm=Fraction(dot(v, [dot(row, v) for row in int_form]), form_scale * proj.scale ** 2),
             beta_neg=beta_neg,
             beta_pos=beta_pos,
             beta=beta,

@@ -38,8 +38,8 @@ UNCAPPED = 10**6
 def _full_walk(monkeypatch):
     # every flat, whatever enumerate_kn asks for; no strata kept before
     # are read inside, and none kept inside are read after
-    def full(ws, chi, group, cap, orbits=False):
-        return FULL_WALK(ws, chi, group, cap)
+    def full(*args, orbits=False, **kwargs):
+        return FULL_WALK(*args, **kwargs)
 
     KEPT.cache_clear()
     try:

@@ -73,7 +73,7 @@ def test_a_shared_record_reports_what_cold_calls_and_the_full_walk_report(
     kept.cache_clear()  # the full walk reads no strata the orbit walk kept
     with monkeypatch.context() as m:
         m.setattr(knx.strata, "span_candidates",
-                  lambda ws, chi, group, cap, orbits=False: walk(ws, chi, group, cap))
+                  lambda *args, orbits=False, **kwargs: walk(*args, **kwargs))
         full = [_run(capsys, *call) for call in calls]
     kept.cache_clear()  # nor does a later walk read the full walk's
     assert warm == cold == full

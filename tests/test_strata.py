@@ -272,3 +272,15 @@ def test_one_weyl_canonicalization_per_new_direction(monkeypatch, golden_dir, or
         monkeypatch.undo()
         assert len(calls) == len([v for v in directions if not is_zero_vector(v)])
         assert all(s.beta in calls for s in result.strata)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 10**6), st.sampled_from([[["1/2", "1/3"], ["1/3", "2"]], [["3", "0"], ["0", "5/7"]]]))
+def test_the_q_norm_is_the_forms_norm_of_the_direction(seed, form):
+    # the kept strata take the q-norm from the integer certificate, on the
+    # form's clearing scale; a rank-2 torus with a form that is not integral
+    p = random_problem(2, 4, seed)
+    group = group_data(2, [], [], form)
+    chi = TorusCharacter(vec_scale(F(2, 3), p.chi.vec))
+    for s in enumerate_kn(p.weights, chi, group, "both").strata:
+        assert s.q_norm == group.form.norm2(s.direction)
