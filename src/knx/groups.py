@@ -225,9 +225,12 @@ def weyl_canonicalize(v: Vector, group: GroupData) -> Vector:
 
     Repeatedly applies any simple reflection whose root pairs negatively
     with v; for gl(n) this sorts the coordinates in nonincreasing order.
-    Reflects the integers den * v, one gcd per step, at most |roots| times.
-    """
-    den, (current,) = clear_denominators([v])
+    Reflects the integers den * v, one gcd per step, at most |roots| times;
+    v itself when it is dominant, as every v is with no reflection."""
+    if not group.reflections:
+        return v
+    den, (start,) = clear_denominators([v])
+    current = start
     for _ in range(len(group.int_roots[1]) + 1):
         for s, qs, qss in group.reflections:
             if (p := _pairing(current, qs)) < 0:
@@ -236,7 +239,7 @@ def weyl_canonicalize(v: Vector, group: GroupData) -> Vector:
                 den, current = den * qss // g, tuple(a // g for a in current)
                 break
         else:
-            return tuple(Fraction(a, den) for a in current)
+            return v if current is start else tuple(Fraction(a, den) for a in current)
     raise InternalInconsistency("Weyl canonicalization did not terminate")
 
 

@@ -43,38 +43,32 @@ form.  So each stratum is reported from the flat, direction and defining
 support the full walk reports it from.  A problem that is not graphic
 takes the full walk.
 
-Which flats the orbit walk solves, and in which order, depends only on
-the problem's shape: the class of each coordinate and the edge of each
-table weight.  ``_orbit_plan`` computes it once per shape per process and
-keeps it, so a sweep over chi or c, or any reordering or rescaling of the
-same weights, pays for the plan on its first call only.
+What is kept between calls depends on the problem's shape alone, and is
+kept on its ``Shape`` record, one per group and weight multiset (its
+scale and mode), which ``shape_of`` looks up by value; it keeps the last
+8, and a miss checks that the Weyl group permutes the weights.  A record
+holds the pairing table of the distinct nonzero weights, the graph (the
+classes and the edges), the orbit walk's plan (which depends on the
+classes and the edges alone), the full walk's flats and the strata of
+the last 8 chi rays walked, each built on first use: all of it lives and
+dies with the record.  Each walk pairs chi with the table.
 
-More than the plan depends on neither chi nor c.  A ``Shape`` record is
-kept per group and weight multiset (its scale and mode): built on a miss,
-which checks that the Weyl group permutes the weights, it holds the
-pairing table of the distinct nonzero weights, the graph (the classes and
-the edges) and, after a full walk, the flats: they live and die with the
-record.  ``shape_of`` looks it up by value and keeps the last 8;
-each walk pairs chi with the table and checks chi on the classes.  The
-dominant keys of the walk's directions are kept per group, for the last
-1024 directions.
-
-The strata themselves depend on chi only through its ray: the cone
-projection is positively homogeneous, and the exact solve makes the same
-choices at any positive scale, so chi = lam * ray has the ray's strata
-with each direction times lam and each q-norm times lam^2.
-``_ray_strata`` walks the flats for the primitive integer ray and keeps,
-for the last 8 (shape, ray, orientation), each stratum in table terms:
-its direction, q-norm, betas and dominant key, the table indices of its
-defining subset and Q(W_t, beta) per table index.  ``enumerate_kn``
-checks the orientation, the ranks and the cap on every call, then scales
-the kept strata and reads their indices in the call's weight order; so a
-sweep over c solves the flats once.  The oracle's walk is never kept.
+The strata depend on chi only through its ray: the cone projection is
+positively homogeneous, and the exact solve makes the same choices at any
+positive scale, so chi = lam * ray has the ray's strata with each
+direction times lam and each q-norm times lam^2.  ``_ray_strata`` walks
+the flats for the primitive integer ray, and the record keeps, per (ray,
+orientation), each stratum in table terms: its direction, q-norm, betas
+and dominant key, the table indices of its defining subset and Q(W_t,
+beta) per table index.  ``enumerate_kn`` checks the orientation, the
+ranks and the cap on every call, then scales the kept strata and reads
+their indices in the call's weight order; so a sweep over c solves the
+flats once.  The oracle's walk is never kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -198,11 +192,13 @@ class Shape:
     ``key`` is the value the record is kept under, (group.key, ws.key), and
     carries the group and the first weight system of this shape seen, in
     its own order; everything read from it here is the same for any order.
-    The chi-free table and the graph are built on the first walk, and the
-    flats on the first full walk, after that call's cap check.
+    The chi-free table, the graph and the plan are built on the first walk,
+    and the flats on the first full walk, after that call's cap check.
+    ``kept`` holds the strata of the last 8 (chi ray, orientation) walked.
     """
 
     key: Keyed
+    kept: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def table(self) -> WeightTable:
@@ -223,6 +219,19 @@ class Shape:
         """The table indices of the members of every flat, in the order of
         the full walk."""
         return _flats(self.table.int_weights)
+
+    @cached_property
+    def plan(self) -> tuple[tuple[int, ...], ...]:
+        """The orbit walk's flats, for a graphic shape (``_orbit_plan``)."""
+        return _orbit_plan(*self.graph)
+
+    def strata(self, ray: IntVector, orientation: str) -> tuple[tuple[_RayStratum, ...], bool]:
+        """``_ray_strata`` on this record, kept."""
+        kept, key = self.kept, (ray, orientation)
+        kept[key] = entry = kept.pop(key, None) or _ray_strata(self, ray, orientation)
+        if len(kept) > 8:
+            del kept[next(iter(kept))]
+        return entry
 
 
 def shape_of(ws: WeightSystem, group: GroupData) -> Shape:
@@ -245,12 +254,6 @@ def _shapes(key: Keyed) -> Shape:
     group, ws = key.data
     validate_weyl_stable(ws.cleared[1], group)
     return Shape(key)
-
-
-# the dominant keys of the last 1024 directions, per group
-@lru_cache(maxsize=1024)
-def _dominant(group: Keyed, beta: Vector) -> Vector:
-    return weyl_canonicalize(beta, group.data)
 
 
 def span_candidates(
@@ -284,7 +287,7 @@ def span_candidates(
     # its coordinates
     if graph is not None and all(table.int_chi[i] == table.int_chi[k]
                                  for i, k in enumerate(graph[0])):
-        plan = _orbit_plan(*graph)
+        plan = shape.plan
     else:
         plan = shape.flats
     for members in plan:
@@ -318,14 +321,18 @@ def _flats(weights: Sequence[IntVector]) -> tuple[tuple[int, ...], ...]:
     # span, None for its own lines.  The lines of a flat F and those with
     # residual u make up the flat one rank up through u, so the residuals
     # group the lines off F into the covers of F, and only a cover not met
-    # before extends a basis.  Modulo that cover a line's residual is its
-    # residual modulo F reduced by u alone: u is zero in F's pivot columns
+    # before in the level extends a basis.  Modulo that cover a line's
+    # residual is its residual modulo F reduced by u alone: u is zero in
+    # F's pivot columns.  A visited flat's entry goes, and a level shares
+    # one tuple per distinct residual
     flats = []
-    seen = {0}
-    level: list[tuple[IntBasis, int, list]] = [((), 0, directions)]
+    level: dict[IntBasis, tuple[int, list]] = {(): (0, directions)}
     while level:
         found: dict[IntBasis, tuple[int, list]] = {}
-        for basis, inside, residuals in level:
+        seen: set[int] = set()
+        shared: dict[IntVector, IntVector] = {}
+        for basis in rref_sorted(list(level)):
+            inside, residuals = level.pop(basis)
             covers: dict[IntVector, int] = {}
             for k, up in enumerate(residuals):
                 if up is not None:
@@ -336,10 +343,10 @@ def _flats(weights: Sequence[IntVector]) -> tuple[tuple[int, ...], ...]:
                     seen.add(cover)
                     p = pivots((up,))
                     found[span_extend(basis, up, cols)] = cover, [
-                        None if cover >> k & 1 else span_residual((up,), r, p) if r[p[0]] else r
-                        for k, r in enumerate(residuals)]
+                        None if cover >> k & 1 else shared.setdefault(u := span_residual((up,), r, p), u)
+                        if r[p[0]] else r for k, r in enumerate(residuals)]
             flats.append(tuple(sorted(i for k, on in enumerate(on_line) if inside >> k & 1 for i in on)))
-        level = [(basis, *found[basis]) for basis in rref_sorted(list(found))]
+        level = found
     return tuple(flats)
 
 
@@ -391,14 +398,12 @@ def _graphic(
     return tuple(kinds), tuple(edges)
 
 
-# the plans of the last 32 shapes stay in the process; gl(12)'s is the
-# largest measured, 272 member tuples in about 0.1 MiB
-@lru_cache(maxsize=32)
 def _orbit_plan(kinds: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     """The members of one flat per Weyl orbit, as indices into ``edges``:
     the flat the full walk meets first, in the order of the full walk.  It
     depends on the class layout and the edges only, so one plan serves
-    every problem of that shape, whatever its chi or weight order."""
+    every problem of that shape, whatever its chi or weight order.  gl(12)'s
+    is the largest measured, 272 member tuples in about 0.1 MiB."""
     n = len(kinds)
     neighbours: list[set[int]] = [set() for _ in range(n + 1)]
     for u, v in edges:
@@ -552,10 +557,10 @@ def enumerate_kn(
 ) -> KNResult:
     """Enumerate the KN one-parameter subgroups for the character chi.
 
-    The strata of the ray of chi are kept (``_ray_strata``): for chi =
-    lam * ray with lam > 0, each direction is lam times the ray's and each
-    q-norm lam^2 times, and the indices are read in this call's weight
-    order."""
+    The strata of the ray of chi are kept on the shape's record
+    (``Shape.strata``): for chi = lam * ray with lam > 0, each direction is
+    lam times the ray's and each q-norm lam^2 times, and the indices are
+    read in this call's weight order."""
     if orientation not in ORIENTATIONS:
         raise InvalidParameter(f"unknown orientation {orientation!r}")
     _check_sizes(ws, chi, group, cap)
@@ -563,10 +568,11 @@ def enumerate_kn(
     g = gcd(*ints) or d  # chi = 0 is its own ray
     ray = tuple(a // g for a in ints)
     lam = None if g == d else Fraction(g, d)
-    strata, semistable, int_weights = _ray_strata(_shape_key(ws, group), ray, orientation)
+    shape = _record(_shape_key(ws, group))
+    strata, semistable = shape.strata(ray, orientation)
     # per stratify weight its table index (None for a zero weight), and
     # per table index its first stratify weight
-    position = {w: t for t, w in enumerate(int_weights)}
+    position = {w: t for t, w in enumerate(shape.table.int_weights)}
     index = [position.get(w) for w in ws.int_stratify_weights]
     first: dict[int | None, int] = {}
     for i, t in enumerate(index):
@@ -574,8 +580,9 @@ def enumerate_kn(
     found = []
     for s in strata:
         plus, zero_idx, minus = [], [], []
+        pairings = s.pairings
         for i, t in enumerate(index):
-            p = 0 if t is None else s.pairings[t]
+            p = 0 if t is None else pairings[t]
             (plus if p > 0 else zero_idx if p == 0 else minus).append(i)
         found.append(KNStratum(
             direction=s.direction if lam is None else vec_scale(lam, s.direction),
@@ -607,29 +614,19 @@ class _RayStratum(NamedTuple):
     pairings: tuple[int, ...]
 
 
-# the strata of the last 8 (shape, ray, orientation): a sweep over c, or
-# over chi along one ray, solves the walk's flats once
-@lru_cache(maxsize=8)
-def _ray_strata(
-    key: Keyed, ray: IntVector, orientation: str
-) -> tuple[tuple[_RayStratum, ...], bool, tuple[IntVector, ...]]:
-    """(the strata in order, whether the semistable locus is nonempty, the
-    table's integer weights) for chi = ray on the shape of ``key``."""
-    group, ws = key.data
-    shape = _record(key)
+def _ray_strata(shape: Shape, ray: IntVector, orientation: str) -> tuple[tuple[_RayStratum, ...], bool]:
+    """(the strata in order, whether the semistable locus is nonempty) for
+    chi = ray on ``shape``."""
+    group, ws = shape.key.data
     form_scale, int_form = group.form.cleared
     semistable = False
     found: dict[Vector, _RayStratum] = {}
     # the integer betas seen before: their Weyl keys are in found already
     seen: set[IntVector] = set()
-    int_weights: tuple[IntVector, ...] = ()
     # the caller checked the sizes; an integer ray clears to itself, so no
     # Fraction is built for it
     paired = shape, with_chi(shape.table, ray)
     for table, proj in span_candidates(ws, None, group, orbits=True, paired=paired):
-        # the table clears its weights by the least common denominator of
-        # the same entries, so its integer weights are the shape's
-        int_weights = table.int_weights
         v = proj.int_direction
         if not any(v):
             semistable = True
@@ -647,7 +644,7 @@ def _ray_strata(
             beta = beta_pos
         else:
             beta, ints = beta_neg, tuple(-a for a in ints)
-        dominant = _dominant(group.key, beta)
+        dominant = weyl_canonicalize(beta, group)
         if dominant in found:
             continue
         # Q(W, beta) over the integer table has the sign of q(w, beta); a
@@ -664,4 +661,4 @@ def _ray_strata(
             pairings=tuple(dot(c, ints) for c in table.covectors),
         )
     strata = sorted(found.values(), key=lambda s: (s.q_norm, s.beta_dominant))
-    return tuple(strata), semistable, int_weights
+    return tuple(strata), semistable

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,19 +25,42 @@ def clear_caches() -> None:
     import knx.groups
     import knx.strata
 
-    for cache in (knx.strata._ray_strata, knx.strata._orbit_plan, knx.strata._shapes,
-                  knx.strata._dominant, knx.engine._shift, knx.groups.gl, knx.groups.sl,
+    for cache in (knx.strata._shapes, knx.engine._shift, knx.groups.gl, knx.groups.sl,
                   knx.groups.torus, knx.groups._product):
         cache.cache_clear()
+
+
+@pytest.fixture
+def walk_counts(monkeypatch) -> Counter:
+    """Counts, from here on, of the orbit plans built (``plans``), the cone
+    solves of every walk (``solves``), the reads of a record's kept strata,
+    hit or miss (``reads``), and the walks of a read that missed
+    (``walks``)."""
+    import knx.strata
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(knx.strata, "_orbit_plan", counting("plans", knx.strata._orbit_plan))
+    monkeypatch.setattr(knx.strata, "min_norm_point", counting("solves", knx.strata.min_norm_point))
+    monkeypatch.setattr(knx.strata.Shape, "strata", counting("reads", knx.strata.Shape.strata))
+    monkeypatch.setattr(knx.strata, "_ray_strata", counting("walks", knx.strata._ray_strata))
+    return counts
 
 
 def pytest_runtest_teardown(item, nextitem):
     """The last test here leaves no kept strata behind: the benchmark's
     ``test_traced_cherednik_reaches_min_norm``, run after these, counts
-    the cone solves of a walk that a kept entry would skip.  Tests that
-    need a cold walk clear the kept strata themselves."""
+    the cone solves of a walk that a kept entry would skip.  The strata
+    are kept on the shape records, so the records go.  Tests that need a
+    cold walk clear the records themselves."""
     here = Path(__file__).resolve().parent
     if nextitem is None or here not in nextitem.path.parents:
         import knx.strata
 
-        knx.strata._ray_strata.cache_clear()
+        knx.strata._shapes.cache_clear()

@@ -1,8 +1,8 @@
 """The orbit walk of ``span_candidates(..., orbits=True)`` against the full
 walk: the same ``KNResult`` from one flat per Weyl orbit, the orbit count,
 the fall back to the full walk when a problem is not graphic, and the
-per-process caches of orbit plans, strata per ray of chi and preset
-groups."""
+orbit plans and the strata per ray of chi kept on the shape's record, and
+the preset groups kept per process."""
 
 import random
 import time
@@ -26,11 +26,11 @@ from knx.groups import product as group_product
 from knx.oracle import random_problem
 from knx.problemfile import load_problem
 from knx.scalars import vec_scale
-from knx.strata import WeightSystem, enumerate_kn, span_candidates, weight_system
+from knx.strata import WeightSystem, enumerate_kn, shape_of, span_candidates, weight_system
 
 FULL_WALK = knx.strata.span_candidates
-# the strata kept per (shape, ray, orientation)
-KEPT = knx.strata._ray_strata
+# the shape records, which keep the strata per (ray, orientation)
+SHAPES = knx.strata._shapes
 UNCAPPED = 10**6
 
 
@@ -41,17 +41,17 @@ def _full_walk(monkeypatch):
     def full(*args, orbits=False, **kwargs):
         return FULL_WALK(*args, **kwargs)
 
-    KEPT.cache_clear()
+    SHAPES.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(knx.strata, "span_candidates", full)
             yield
     finally:
-        KEPT.cache_clear()
+        SHAPES.cache_clear()
 
 
 def _both_walks(monkeypatch, ws, chi, group, orientation):
-    KEPT.cache_clear()
+    SHAPES.cache_clear()
     orbit = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
     with _full_walk(monkeypatch):
         full = enumerate_kn(ws, chi, group, orientation, UNCAPPED)
@@ -230,9 +230,9 @@ def test_a_problem_that_is_not_graphic_takes_the_full_walk(monkeypatch, golden_d
         assert orbit == full
 
 
-# the orbit plan is cached per shape: the class of each coordinate and the
-# edge of each table weight, not chi, c or the order of the weights
-PLAN = knx.strata._orbit_plan
+# the orbit plan is kept on the shape's record: it depends on the class of
+# each coordinate and the edge of each table weight, not chi, c or the
+# order of the weights
 FRAMED_GL2_GL1 = quiver([2, 1], [(0, 0), (0, 1), (1, 0)], [1, 1])
 
 
@@ -246,23 +246,27 @@ GL2_PROBLEMS = [(weight_system(GL2_WEIGHTS), ONES, gl(2)),
                 (weight_system(_shuffled(GL2_WEIGHTS, 3)), TorusCharacter((F(5, 2), F(5, 2))), gl(2))]
 
 
-def _counts(cache):
-    info = cache.cache_info()
-    return info.misses, info.hits, info.currsize
+def _counts(counts, *shapes):
+    # (misses, hits, size) of the plans and of the kept strata: the plans
+    # built, the orbit walks on a kept plan and the records with a plan;
+    # the walks, the reads that found the strata kept and the rays kept
+    walks = counts["walks"]
+    return ((counts["plans"], walks - counts["plans"], sum("plan" in vars(s) for s in shapes)),
+            (walks, counts["reads"] - walks, sum(len(s.kept) for s in shapes)))
 
 
-def test_gl2_problems_of_one_shape_build_one_plan():
-    PLAN.cache_clear()
-    KEPT.cache_clear()
+def test_gl2_problems_of_one_shape_build_one_plan(walk_counts):
+    SHAPES.cache_clear()
     for ws, chi, group in GL2_PROBLEMS:
         enumerate_kn(ws, chi, group)
+    shape = shape_of(GL2_PROBLEMS[0][0], gl(2))
     # chi on one ray: the second problem reads the kept strata, not the plan
-    assert _counts(PLAN) == (1, 0, 1) and _counts(KEPT) == (1, 1, 1)
+    assert _counts(walk_counts, shape) == ((1, 0, 1), (1, 1, 1))
     enumerate_kn(*GL2_PROBLEMS[0])
-    assert _counts(PLAN) == (1, 0, 1) and _counts(KEPT) == (1, 2, 1)
+    assert _counts(walk_counts, shape) == ((1, 0, 1), (1, 2, 1))
     # another ray of the same shape walks again, on the kept plan
     enumerate_kn(GL2_PROBLEMS[1][0], TorusCharacter((F(-1), F(-1))), gl(2))
-    assert _counts(PLAN) == (1, 1, 1) and _counts(KEPT) == (2, 2, 2)
+    assert _counts(walk_counts, shape) == ((1, 1, 1), (2, 2, 2))
 
 
 def test_a_cached_plan_reports_what_a_cold_plan_and_the_full_walk_report(monkeypatch):
@@ -271,8 +275,7 @@ def test_a_cached_plan_reports_what_a_cold_plan_and_the_full_walk_report(monkeyp
     for orientation in ("negative", "both"):
         warm = [enumerate_kn(*p, orientation, UNCAPPED) for p in problems]
         for problem, result in zip(problems, warm):
-            PLAN.cache_clear()
-            KEPT.cache_clear()
+            SHAPES.cache_clear()
             cold = enumerate_kn(*problem, orientation, UNCAPPED)
             with _full_walk(monkeypatch):
                 full = enumerate_kn(*problem, orientation, UNCAPPED)
@@ -284,19 +287,21 @@ def _shape(ws, chi, group):
     return knx.strata._graphic(table, group)
 
 
-def test_gl3_and_a_framed_gl2_x_gl1_keep_separate_plans():
+def test_gl3_and_a_framed_gl2_x_gl1_keep_separate_plans(walk_counts):
     # the same 3 coordinates and the same edges: every pair and every e_i
     gl3 = cherednik_preset(3)
     problems = [(gl3.weights, gl3.chi, gl3.group), FRAMED_GL2_GL1]
     (kinds3, edges3), (kinds21, edges21) = [_shape(*p) for p in problems]
     assert edges3 == edges21 and kinds3 != kinds21
-    PLAN.cache_clear()
-    KEPT.cache_clear()
+    SHAPES.cache_clear()
+    walk_counts.clear()
     for problem in problems + problems:
         enumerate_kn(*problem)
+    shapes = [shape_of(ws, group) for ws, _, group in problems]
     # the second round reads the kept strata of each
-    assert _counts(PLAN) == (2, 0, 2) and _counts(KEPT) == (2, 2, 2)
+    assert _counts(walk_counts, *shapes) == ((2, 0, 2), (2, 2, 2))
     # B(4) = 15 flats each: S_3 leaves 7 orbits of them, S_2 leaves 11
+    assert walk_counts["solves"] == 7 + 11
     assert [_orbit_count(*p) for p in problems] == [7, 11]
 
 
@@ -307,7 +312,7 @@ def test_presets_are_one_group_per_n(n):
     assert sl(n).int_roots == gl(n).int_roots
 
 
-# the strata are kept per (shape, primitive ray of chi, orientation): chi =
+# the strata are kept per (primitive ray of chi, orientation) on the shape's record: chi =
 # lam * ray reports the ray's strata with each direction times lam and each
 # q-norm times lam^2
 B2XGL1 = load_problem(GOLDEN_DIR / "b2xgl1.json")
@@ -339,16 +344,16 @@ def _times(result, lam):
 @given(scaled_problems(), st.sampled_from(["negative", "positive", "both"]))
 def test_a_scaled_chi_reports_the_strata_of_its_ray_scaled(problem, orientation):
     ws, chi, group, lam = problem
-    # the walk itself, uncached, at the primitive ray and at lam times it:
+    # the walk itself, not kept, at the primitive ray and at lam times it:
     # the same strata, directions times lam and q-norms times lam^2
     d, (ints,) = clear_denominators([chi.vec])
     ray = tuple(a // (gcd(*ints) or d) for a in ints)
-    key = knx.strata._shape_key(ws, group)
-    strata, semistable, table = KEPT.__wrapped__(key, ray, orientation)
-    at_lam = KEPT.__wrapped__(key, tuple(lam * a for a in ray), orientation)
+    shape = shape_of(ws, group)
+    strata, semistable = knx.strata._ray_strata(shape, ray, orientation)
+    at_lam = knx.strata._ray_strata(shape, tuple(lam * a for a in ray), orientation)
     assert at_lam == (tuple(s._replace(direction=vec_scale(lam, s.direction),
                                        q_norm=lam * lam * s.q_norm) for s in strata),
-                      semistable, table)
+                      semistable)
     # enumerate_kn scales the kept strata and reads them in file order
     scaled = TorusCharacter(vec_scale(lam, chi.vec))
     clear_caches()
@@ -356,16 +361,21 @@ def test_a_scaled_chi_reports_the_strata_of_its_ray_scaled(problem, orientation)
     clear_caches()
     cold = enumerate_kn(ws, scaled, group, orientation, UNCAPPED)
     assert cold == _times(unscaled, lam)
-    # chi now reads the strata that lam * chi kept
-    assert enumerate_kn(ws, chi, group, orientation, UNCAPPED) == unscaled
-    assert KEPT.cache_info().hits == 1
+    # chi now reads the strata that lam * chi kept: one read, no walk
+    calls = []
+    read = knx.strata.Shape.strata
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(knx.strata.Shape, "strata", lambda *args: calls.append("read") or read(*args))
+        m.setattr(knx.strata, "_ray_strata", lambda *args: calls.append("walk"))
+        assert enumerate_kn(ws, chi, group, orientation, UNCAPPED) == unscaled
+    assert calls == ["read"]
 
 
 def test_a_kept_entry_never_skips_the_cap():
     ws, chi, group = GL2_PROBLEMS[0]
-    KEPT.cache_clear()
+    SHAPES.cache_clear()
     enumerate_kn(ws, chi, group)
-    assert KEPT.cache_info().currsize == 1
+    assert len(shape_of(ws, group).kept) == 1
     with pytest.raises(CapExceeded, match="^7 distinct weights exceed the cap of 5$"):
         enumerate_kn(ws, chi, group, "negative", 5)
     with pytest.raises(InvalidParameter, match="unknown orientation 'up'"):

@@ -6,17 +6,19 @@ import gc
 import json
 import random
 import weakref
+from fractions import Fraction as F
+from types import FrameType
 
 import pytest
 
 import knx.engine
 import knx.strata
 from knx.cli import main
-from knx.engine import ExactnessProblem, check
-from knx.groups import TorusCharacter, gl, group_data
+from knx.engine import ExactnessProblem, check, cherednik_preset
+from knx.groups import TorusCharacter, gl, group_data, torus
 from knx.problemfile import load_problem
-from knx.scalars import vector
-from knx.strata import shape_of, weight_system
+from knx.scalars import vec_neg, vector
+from knx.strata import enumerate_kn, shape_of, weight_system
 
 from conftest import clear_caches
 
@@ -69,13 +71,12 @@ def test_a_shared_record_reports_what_cold_calls_and_the_full_walk_report(
         clear_caches()
         cold.append(_run(capsys, *call))
     walk = knx.strata.span_candidates
-    kept = knx.strata._ray_strata
-    kept.cache_clear()  # the full walk reads no strata the orbit walk kept
+    SHAPES.cache_clear()  # the full walk reads no strata the orbit walk kept
     with monkeypatch.context() as m:
         m.setattr(knx.strata, "span_candidates",
                   lambda *args, orbits=False, **kwargs: walk(*args, **kwargs))
         full = [_run(capsys, *call) for call in calls]
-    kept.cache_clear()  # nor does a later walk read the full walk's
+    SHAPES.cache_clear()  # nor does a later walk read the full walk's
     assert warm == cold == full
     assert warm[0][1] != warm[4][1]  # the reports tell the two files apart
 
@@ -140,13 +141,16 @@ def test_shift_data_outlives_its_record(gl2_files):
     assert shifts.cache_info().misses == built
 
 
-def test_kept_strata_never_skip_the_cap_or_the_drop_check(gl2_files, tmp_path, capsys):
+def _misses_and_hits(counts):
+    return counts["walks"], counts["reads"] - counts["walks"]
+
+
+def test_kept_strata_never_skip_the_cap_or_the_drop_check(gl2_files, tmp_path, capsys, walk_counts):
     # both files are on one ray: after the first call every walk is kept
-    kept = knx.strata._ray_strata
-    kept.cache_clear()
+    SHAPES.cache_clear()
     for path in gl2_files:
         assert _run(capsys, "strata", path)[0] == 0
-    assert (kept.cache_info().misses, kept.cache_info().hits) == (1, 1)
+    assert _misses_and_hits(walk_counts) == (1, 1)
     code, out, err = _run(capsys, "strata", gl2_files[1], "--max-weights", "5")
     assert (code, out) == (3, "")
     assert err == "error: 7 distinct weights exceed the cap of 5 (raise it with --max-weights)\n"
@@ -157,4 +161,85 @@ def test_kept_strata_never_skip_the_cap_or_the_drop_check(gl2_files, tmp_path, c
     assert (code, out) == (2, "")
     assert "dropped strata do not match any enumerated stratum: (7, 7)" in err
     # the cap error came before the lookup; the drop check read the entry
-    assert (kept.cache_info().misses, kept.cache_info().hits) == (1, 2)
+    assert _misses_and_hits(walk_counts) == (1, 2)
+
+
+# what a record keeps lives and dies with it: the orbit plan, built once
+# per record, and the strata of the last 8 (ray, orientation) walked on it
+UNCAPPED = 10**6
+
+
+def test_the_plan_and_the_kept_strata_outlive_no_record():
+    # the record alone holds them, and once 8 other shapes have pushed it
+    # out, no cache keeps it alive; a tuple takes no weak reference, so the
+    # referrers of each are checked and the record's weak reference
+    clear_caches()
+    p = cherednik_preset(3)
+    ws, chi, group = p.weights, p.chi, p.group
+    del p
+    enumerate_kn(ws, chi, group)
+    shape = shape_of(ws, group)
+    assert len(shape.plan) == 7 and len(shape.kept) == 1
+    for name in ("plan", "kept"):
+        referrers = [r for r in gc.get_referrers(getattr(shape, name)) if not isinstance(r, FrameType)]
+        assert len(referrers) == 1 and referrers[0] is vars(shape)
+    record = weakref.ref(shape)
+    del shape, referrers
+    for k in range(1, 9):
+        shape_of(weight_system([[str(k)]]), gl(1))
+    gc.collect()
+    assert record() is None
+
+
+def _rays(k):
+    # k primitive rays of a rank-2 torus
+    return [TorusCharacter((F(1), F(i))) for i in range(k)]
+
+
+def test_a_ninth_ray_on_one_record_walks_the_first_again(walk_counts):
+    clear_caches()
+    ws, group = weight_system([["1", "0"], ["1", "1"], ["-1", "2"]]), torus(2)
+    for chi in _rays(9):
+        enumerate_kn(ws, chi, group)
+    assert walk_counts["walks"] == 9 and len(shape_of(ws, group).kept) == 8
+    for chi in _rays(9)[1:]:
+        enumerate_kn(ws, chi, group)
+    assert walk_counts["walks"] == 9
+    enumerate_kn(ws, _rays(1)[0], group)
+    assert walk_counts["walks"] == 10
+
+
+def test_two_records_keep_8_rays_each(walk_counts):
+    clear_caches()
+    shapes = [weight_system([["1", "0"], ["1", "1"], ["-1", "2"]]), weight_system([["2", "1"], ["0", "1"]])]
+    for chi in _rays(8):
+        for ws in shapes:
+            enumerate_kn(ws, chi, torus(2))
+    assert walk_counts["walks"] == 16
+    for ws in shapes:
+        for chi in _rays(8):
+            enumerate_kn(ws, chi, torus(2))
+    assert walk_counts["walks"] == 16 and walk_counts["reads"] == 32
+    assert [len(shape_of(ws, torus(2)).kept) for ws in shapes] == [8, 8]
+
+
+# sum_{m <= n} p(m), p(0) = 1: the block of 0 takes n - m coordinates, and
+# the other blocks partition the m left, one orbit per partition
+ORBITS = {1: 2, 2: 4, 3: 7, 4: 12, 5: 19, 6: 30, 7: 45, 8: 67}
+
+
+@pytest.mark.parametrize("n", sorted(ORBITS))
+def test_a_gl_preset_walk_solves_each_orbit_once_per_ray(n, walk_counts):
+    # gl(1) has no reflection: it takes the full walk of its B(2) = 2
+    # flats, and builds no plan
+    clear_caches()
+    p = cherednik_preset(n)
+    ws, chi, group = p.weights, p.chi, p.group
+    plans = int(n > 1)
+    enumerate_kn(ws, chi, group, "negative", UNCAPPED)
+    assert (walk_counts["plans"], walk_counts["solves"]) == (plans, ORBITS[n])
+    enumerate_kn(ws, chi, group, "negative", UNCAPPED)
+    assert (walk_counts["plans"], walk_counts["solves"]) == (plans, ORBITS[n])
+    # another ray of the record walks again, on its plan
+    enumerate_kn(ws, TorusCharacter(vec_neg(chi.vec)), group, "negative", UNCAPPED)
+    assert (walk_counts["plans"], walk_counts["solves"]) == (plans, 2 * ORBITS[n])

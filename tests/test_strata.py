@@ -265,9 +265,8 @@ def test_one_weyl_canonicalization_per_new_direction(monkeypatch, golden_dir, or
             return weyl_canonicalize(v, group)
 
         monkeypatch.setattr(knx.strata, "weyl_canonicalize", counted)
-        # count from cold caches: kept strata skip the walk and its keys
-        knx.strata._dominant.cache_clear()
-        knx.strata._ray_strata.cache_clear()
+        # count from a cold record: kept strata skip the walk and its keys
+        knx.strata._shapes.cache_clear()
         result = enumerate_kn(p.weights, p.chi, p.group, orientation, p.cap)
         monkeypatch.undo()
         assert len(calls) == len([v for v in directions if not is_zero_vector(v)])
