@@ -34,30 +34,12 @@ class NumericalSemigroup:
     apery: tuple[int, ...]  # least reduced member per residue mod a1; () for {0}
     conductor: int  # every multiple of content >= conductor is representable
 
-    @property
-    def is_zero(self) -> bool:
-        return self.content == 0
-
     @cached_property
     def gaps(self) -> tuple[int, ...]:
         """Non-representable elements of content*Z>=0, ascending."""
         if self.content == 1:
             return _gaps(self.apery)
         return tuple([self.content * m for m in _gaps(self.apery)])
-
-    def member_int(self, m: int) -> bool:
-        """Membership for integers in the scaled (integer) semigroup."""
-        if self.is_zero:
-            return m == 0
-        q, rem = divmod(m, self.content)
-        return rem == 0 and _member(self.apery, q)
-
-    def member(self, value: Fraction) -> bool:
-        """Membership for exact rationals in scale * (integer semigroup)."""
-        if self.is_zero:
-            return value == 0
-        r = value / self.scale
-        return r.denominator == 1 and self.member_int(int(r))
 
 
 def semigroup_from_generators(gens: Iterable[Fraction]) -> NumericalSemigroup:
@@ -116,7 +98,11 @@ def _gaps(apery: Sequence[int]) -> tuple[int, ...]:
 
 def membership(semigroup: NumericalSemigroup, shift: Fraction, value: Fraction) -> bool:
     """Exact test:  value in shift + scale * (integer semigroup)."""
-    return semigroup.member(value - shift)
+    if not semigroup.generators:
+        return value == shift
+    r = (value - shift) / semigroup.scale
+    q, rem = divmod(r.numerator, semigroup.content)
+    return r.denominator == 1 and rem == 0 and _member(semigroup.apery, q)
 
 
 def witness_decomposition(
@@ -136,7 +122,7 @@ def witness_decomposition(
     """
     if not membership(semigroup, shift, value):
         raise InvalidParameter("value is not a member; no witness exists")
-    if semigroup.is_zero:
+    if not semigroup.generators:
         return ()
     gens = semigroup.generators
     g1, g_max = gens[0], gens[-1]
@@ -254,7 +240,7 @@ def describe_members(
     semigroup: NumericalSemigroup, shift: Fraction, unit: Fraction = Fraction(1)
 ) -> SetDescription:
     """SetDescription of {shift + unit*scale*m : m in the integer semigroup}."""
-    if semigroup.is_zero:
+    if not semigroup.generators:
         return SetDescription(offset=shift, modulus=Fraction(0))
     step = unit * semigroup.scale * semigroup.content
     return SetDescription(offset=shift, modulus=step, apery=semigroup.apery)

@@ -23,30 +23,32 @@ fall into the flats that cover it by their residuals modulo its span, and
 a cover is deduplicated by its set of lines before any basis is extended,
 so a basis is extended once per flat.
 ``enumerate_kn`` needs one flat per Weyl orbit, since v(wF) = w v(F) when
-W permutes the weights and fixes chi and q; it walks the orbits when the
-problem is graphic, which ``_graphic`` checks on the integer table:
-(a) W is not trivial and q is the identity; (b) every simple root is a
-positive multiple of e_a - e_b, so W permutes the coordinates within the
-classes, the components of the simple-root graph; (c) every distinct
-nonzero weight is a multiple of e_i - e_j or of e_i; (d) every simple
-transposition maps the distinct nonzero weights onto themselves, and chi
-is constant on each class.  Read e_i as e_i - e_0 for a ground vertex 0:
-the weights are then the edges of a graph on {0, ..., n}, and the flats
-are the partitions of its vertices into connected blocks (Oxley, *Matroid
-Theory*, ch. 1).  The coordinates of one class are twins in that graph,
-so the orbit of a flat is the multiset of its block types (the count of
-each class in a block, and whether it holds 0), and whether a block is
-connected depends on its type only.  Of each orbit the walk solves the
-flat the full walk meets first (``_least_string``), and it visits those
-flats in the full walk's order: by rank, then by reduced row echelon
-form.  So each stratum is reported from the flat, direction and defining
-support the full walk reports it from.  A problem that is not graphic
-takes the full walk.
+W permutes the weights and fixes chi and q: (d), the precondition of every
+walk.  A record exists only for weights W permutes, and ``_ray_strata``
+refuses a chi that does not vanish on the roots.  The walk takes the
+orbits when the problem is graphic, which ``_graphic`` checks on the
+integer table: (a) W is not trivial and q is the identity; (b) every
+simple root is a positive multiple of e_a - e_b, so W permutes the
+coordinates within the classes, the components of the simple-root graph;
+(c) every distinct nonzero weight is a multiple of e_i - e_j or of e_i.
+By (d), each simple transposition then maps the weights onto themselves,
+and chi is constant on each class.  Read e_i as e_i - e_0 for a ground
+vertex 0: the weights are then the edges of a graph on {0, ..., n}, and
+the flats are the partitions of its vertices into connected blocks
+(Oxley, *Matroid Theory*, ch. 1).  The coordinates of one class are twins
+in that graph, so the orbit of a flat is the multiset of its block types
+(the count of each class in a block, and whether it holds 0), and whether
+a block is connected depends on its type only.  Of each orbit the walk
+solves the flat the full walk meets first (``_least_string``), and it
+visits those flats in the full walk's order: by rank, then by reduced row
+echelon form.  So each stratum is reported from the flat, direction and
+defining support the full walk reports it from.  A problem that is not
+graphic takes the full walk.
 
 What is kept between calls depends on the problem's shape alone, and is
 kept on its ``Shape`` record, one per group and weight multiset (its
 scale and mode), which ``shape_of`` looks up by value; it keeps the last
-8, and a miss checks that the Weyl group permutes the weights.  A record
+8, and a miss refuses weights the Weyl group does not permute.  A record
 holds the pairing table of the distinct nonzero weights, the graph (the
 classes and the edges), the orbit walk's plan (which depends on the
 classes and the edges alone), the full walk's flats and the strata of
@@ -56,14 +58,15 @@ dies with the record.  Each walk pairs chi with the table.
 The strata depend on chi only through its ray: the cone projection is
 positively homogeneous, and the exact solve makes the same choices at any
 positive scale, so chi = lam * ray has the ray's strata with each
-direction times lam and each q-norm times lam^2.  ``_ray_strata`` walks
-the flats for the primitive integer ray, and the record keeps, per (ray,
-orientation), each stratum in table terms: its direction, q-norm, betas
-and dominant key, the table indices of its defining subset and Q(W_t,
-beta) per table index.  ``enumerate_kn`` checks the orientation, the
-ranks and the cap on every call, then scales the kept strata and reads
-their indices in the call's weight order; so a sweep over c solves the
-flats once.  The oracle's walk is never kept.
+direction times lam and each q-norm times lam^2.  ``_ray_strata`` checks
+the primitive integer ray and walks the flats for it, and the record
+keeps, per (ray, orientation), each stratum in table terms: its direction,
+q-norm, betas and dominant key, the table indices of its defining subset
+and Q(W_t, beta) per table index.  ``enumerate_kn`` checks the
+orientation, the ranks and the cap on every call, then scales the kept
+strata and reads their indices in the call's weight order; so a sweep
+over c checks its ray and solves the flats once.  The oracle's walk is
+never kept and takes any chi: it merges nothing by W.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from .convex import (
     with_chi,
 )
 from .errors import CapExceeded, InvalidParameter
-from .groups import GroupData, Keyed, TorusCharacter, validate_weyl_stable, weyl_canonicalize
+from .groups import GroupData, Keyed, TorusCharacter, validate_torus_character, validate_weyl_stable, weyl_canonicalize
 from .linalg import IntBasis, IntVector, clear_denominators, dot, pivots, rref_sorted, span_extend, span_residual
 from .scalars import Vector, vec_neg, vec_scale, vector
 
@@ -240,11 +243,7 @@ def shape_of(ws: WeightSystem, group: GroupData) -> Shape:
     A miss checks that the Weyl group permutes the weights and raises
     ``InvalidParameter`` if it does not; such a shape is not kept.
     """
-    return _shapes(_shape_key(ws, group))
-
-
-def _shape_key(ws: WeightSystem, group: GroupData) -> Keyed:
-    return Keyed((group.key, ws.key), (group, ws))
+    return _shapes(Keyed((group.key, ws.key), (group, ws)))
 
 
 # the records of the last 8 shapes stay in the process: a gl(12) record
@@ -274,33 +273,17 @@ def span_candidates(
     independently.  The full walk solves the shape's ``flats``; with
     ``orbits`` a graphic problem yields only the flat of each Weyl orbit
     that the full walk meets first, in the full walk's order (see the
-    module docstring).  ``paired`` is the shape's record and its table
-    paired with chi, for a caller that has checked the sizes and has them.
+    module docstring), and its caller vouches that chi vanishes on the
+    roots.  ``paired`` is the shape's record and its table paired with
+    chi, for a caller that has checked the sizes and has them.
     """
     if paired is None:
         _check_sizes(ws, chi, group, cap)
-        shape = _record(_shape_key(ws, group))
+        shape = shape_of(ws, group)
         paired = shape, with_chi(shape.table, chi.vec)
     shape, table = paired
-    graph = shape.graph if orbits else None
-    # (d) asks for chi constant on each class; a class is named by one of
-    # its coordinates
-    if graph is not None and all(table.int_chi[i] == table.int_chi[k]
-                                 for i, k in enumerate(graph[0])):
-        plan = shape.plan
-    else:
-        plan = shape.flats
-    for members in plan:
+    for members in shape.plan if orbits and shape.graph is not None else shape.flats:
         yield table, min_norm_point(table, members)
-
-
-def _record(key: Keyed) -> Shape:
-    try:
-        return _shapes(key)
-    except InvalidParameter:
-        # weights the Weyl group does not permute, which ExactnessProblem
-        # refuses, can still be walked: a record of this call alone
-        return Shape(key)
 
 
 def _flats(weights: Sequence[IntVector]) -> tuple[tuple[int, ...], ...]:
@@ -364,19 +347,17 @@ def _graphic(
     table: WeightTable, group: GroupData
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
     """(the class of each coordinate, the edge of each table weight) when
-    (a)-(c) and the weights' half of (d) in the module docstring hold, else
-    None.  Vertex 0 is the ground and coordinate i is vertex i + 1; a class
-    is named by one of its coordinates."""
+    (a)-(c) in the module docstring hold, else None; the record's weights
+    meet (d).  Vertex 0 is the ground and coordinate i is vertex i + 1; a
+    class is named by one of its coordinates."""
     if not group.simple_roots or not group.form.is_identity:
         return None
     kinds = list(range(group.rank))
-    swaps = []
     for s, _, _ in group.reflections:
         ends = [i for i, x in enumerate(s) if x]
         if len(ends) != 2 or s[ends[0]] != -s[ends[1]]:
             return None
         a, b = ends
-        swaps.append((a, b))
         kinds = [kinds[a] if k == kinds[b] else k for k in kinds]
     edges = []
     for w in table.int_weights:
@@ -387,14 +368,6 @@ def _graphic(
             edges.append((ends[0] + 1, ends[1] + 1))
         else:
             return None
-    weights = set(table.int_weights)
-    for a, b in swaps:
-        for w in table.int_weights:
-            if w[a] != w[b]:
-                swapped = list(w)
-                swapped[a], swapped[b] = w[b], w[a]
-                if tuple(swapped) not in weights:
-                    return None
     return tuple(kinds), tuple(edges)
 
 
@@ -568,7 +541,7 @@ def enumerate_kn(
     g = gcd(*ints) or d  # chi = 0 is its own ray
     ray = tuple(a // g for a in ints)
     lam = None if g == d else Fraction(g, d)
-    shape = _record(_shape_key(ws, group))
+    shape = shape_of(ws, group)
     strata, semistable = shape.strata(ray, orientation)
     # per stratify weight its table index (None for a zero weight), and
     # per table index its first stratify weight
@@ -616,8 +589,9 @@ class _RayStratum(NamedTuple):
 
 def _ray_strata(shape: Shape, ray: IntVector, orientation: str) -> tuple[tuple[_RayStratum, ...], bool]:
     """(the strata in order, whether the semistable locus is nonempty) for
-    chi = ray on ``shape``."""
+    chi = ray on ``shape``; a ray not vanishing on the roots is refused."""
     group, ws = shape.key.data
+    validate_torus_character(TorusCharacter(ray), group)
     form_scale, int_form = group.form.cleared
     semistable = False
     found: dict[Vector, _RayStratum] = {}

@@ -159,7 +159,7 @@ def test_criterion_6_semigroup_soundness():
             if any(m - g in reachable for g in gens if g <= m):
                 reachable.add(m)
         for m in range(201):
-            assert s.member_int(m) == (m in reachable), (gens, m)
+            assert membership(s, F(0), F(m)) == (m in reachable), (gens, m)
         hi = s.conductor + 3 * max(s.content, 1)
         desc_window = {0}
         for m in range(1, hi + 1):

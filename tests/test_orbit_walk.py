@@ -1,8 +1,9 @@
 """The orbit walk of ``span_candidates(..., orbits=True)`` against the full
 walk: the same ``KNResult`` from one flat per Weyl orbit, the orbit count,
-the fall back to the full walk when a problem is not graphic, and the
-orbit plans and the strata per ray of chi kept on the shape's record, and
-the preset groups kept per process."""
+the fall back to the full walk when a problem is not graphic, the
+refusal of weights W does not permute and of a chi that does not vanish
+on the roots, the orbit plans and the strata per ray of chi kept on the
+shape's record, and the preset groups kept per process."""
 
 import random
 import time
@@ -23,7 +24,7 @@ from knx.errors import CapExceeded, InvalidParameter
 from knx.groups import TorusCharacter, gl, group_data, sl, torus
 from knx.linalg import clear_denominators
 from knx.groups import product as group_product
-from knx.oracle import random_problem
+from knx.oracle import OracleReport, cross_check_enumeration, random_problem
 from knx.problemfile import load_problem
 from knx.scalars import vec_scale
 from knx.strata import WeightSystem, enumerate_kn, shape_of, span_candidates, weight_system
@@ -113,7 +114,7 @@ def graphic_problems(draw):
     for k in range(len(sizes)):
         if draw(st.booleans()):
             weights += [_unit(n, [(a, s)]) for s in draw(signs) for a in classes[k]]
-    weights = weights or [_unit(n, [(0, 1)])]
+    weights = weights or [_unit(n, [(a, 1)]) for a in classes[0]]
     chi = [F(c) for c, s in zip(draw(st.lists(st.integers(-2, 2), min_size=len(sizes),
                                               max_size=len(sizes))), sizes) for _ in range(s)]
     mode = draw(st.sampled_from(["cotangent", "raw"]))
@@ -131,10 +132,10 @@ def test_orbit_walk_reports_the_full_walk_on_graphic_problems(problem, orientati
 
 
 def test_classes_without_edges_stay_blocks_of_one(monkeypatch):
-    # gl(2) x gl(1)^30 with the one weight e1 - e2: 31 classes, whose types
+    # gl(2) x gl(1)^30 with the weights +-(e1 - e2): 31 classes, whose types
     # would number 3 * 2^30 if the 30 coordinates without an edge spanned any
     n = 32
-    ws = WeightSystem((_unit(n, [(0, 1), (1, -1)]),))
+    ws = WeightSystem((_unit(n, [(0, 1), (1, -1)]), _unit(n, [(0, -1), (1, 1)])))
     chi = TorusCharacter((F(1),) * n)
     group = group_product([gl(2)] + [gl(1)] * 30)
     start = time.perf_counter()
@@ -206,6 +207,12 @@ def test_the_gl2_preset_takes_the_orbit_walk():
     assert (len(orbit), len(full)) == (4, 5)
 
 
+REFUSALS = {
+    "unstable": r"^the reflection in the simple root \('1', '-1'\) does not permute the weights$",
+    "chi": r"^chi does not vanish on the root \('1', '-1'\)$",
+}
+
+
 @pytest.mark.parametrize("case", ["torus", "form", "root", "weights", "unstable", "chi"])
 def test_a_problem_that_is_not_graphic_takes_the_full_walk(monkeypatch, golden_dir, case):
     ws, chi, group = weight_system(GL2_WEIGHTS), ONES, gl(2)
@@ -219,15 +226,61 @@ def test_a_problem_that_is_not_graphic_takes_the_full_walk(monkeypatch, golden_d
         ws, chi, group = p.weights, p.chi, p.group
     elif case == "weights":  # (c): e1 + e2 is no edge
         ws = weight_system(GL2_WEIGHTS + [["1", "1"]])
-    elif case == "unstable":  # (d): the swap does not map e1 to a weight
+    elif case == "unstable":  # not (d): the swap does not map e1 to a weight
         ws = weight_system([["1", "-1"], ["1", "0"]], "raw")
-    else:  # (d): chi is not constant on the class
+    else:  # not (d): chi does not vanish on e1 - e2
         chi = TorusCharacter((F(1), F(0)))
+    if case in REFUSALS:
+        # (d) is the walk's precondition, refused as problem files refuse it
+        for orientation in ("negative", "positive", "both"):
+            with pytest.raises(InvalidParameter, match=REFUSALS[case]):
+                enumerate_kn(ws, chi, group, orientation)
+        return
     orbit, full = _walks(ws, chi, group)
     assert orbit == full
     for orientation in ("negative", "positive", "both"):
         orbit, full = _both_walks(monkeypatch, ws, chi, group, orientation)
         assert orbit == full
+
+
+# W must permute the weights and fix chi: on other inputs a Weyl key would
+# merge or drop strata.  Raw gl(2) weights {2e1, e2} with chi = (1, 1) have
+# the strata beta = (-1, 0) and beta = (0, -1), one Weyl key; the W-stable
+# {e1, e2, +-(e1 - e2)} with chi = (2, 1) have beta = (-1, 0) with q = 4 and
+# beta = (0, -1) with q = 1
+UNSTABLE = (weight_system([["2", "0"], ["0", "1"]], "raw"), ONES, gl(2))
+TILTED = (weight_system([["1", "0"], ["0", "1"], ["1", "-1"], ["-1", "1"]], "raw"),
+          TorusCharacter((F(2), F(1))), gl(2))
+
+
+def test_weights_the_weyl_group_does_not_permute_are_refused():
+    for walk in (enumerate_kn, lambda *p: list(span_candidates(*p)), cross_check_enumeration):
+        with pytest.raises(InvalidParameter, match=REFUSALS["unstable"]):
+            walk(*UNSTABLE)
+
+
+def test_a_chi_that_does_not_vanish_on_the_roots_is_refused_by_enumerate_kn_alone():
+    for orientation in ("negative", "positive", "both"):
+        with pytest.raises(InvalidParameter, match=REFUSALS["chi"]):
+            enumerate_kn(*TILTED, orientation)
+    # the oracle's full walk compares flat by flat and merges nothing by W
+    report = cross_check_enumeration(*TILTED)
+    assert isinstance(report, OracleReport) and report.agreed
+    assert len(report.directions) == 4
+
+
+def test_a_kept_ray_is_not_checked_again(walk_counts, monkeypatch):
+    checks = []
+    check = knx.strata.validate_torus_character
+    monkeypatch.setattr(knx.strata, "validate_torus_character",
+                        lambda *args: checks.append(args) or check(*args))
+    SHAPES.cache_clear()
+    ws, chi, group = weight_system(GL2_WEIGHTS), ONES, gl(2)
+    first = enumerate_kn(ws, chi, group)
+    # the same ray at another scale reads the kept strata
+    assert enumerate_kn(ws, TorusCharacter((F(3), F(3))), group).strata != first.strata
+    assert enumerate_kn(ws, chi, group) == first
+    assert (walk_counts["walks"], walk_counts["reads"], len(checks)) == (1, 3, 1)
 
 
 # the orbit plan is kept on the shape's record: it depends on the class of
