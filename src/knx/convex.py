@@ -66,21 +66,18 @@ class GramTable(WeightTable):
     rhs: tuple[int, ...]
 
 
-def weight_table(
-    weights: Sequence[Vector],
-    q: GramForm,
-    cleared: tuple[int, Sequence[IntVector]] | None = None,
-) -> WeightTable:
-    """``cleared`` is ``clear_denominators(weights)``, for a caller that has it."""
-    weight_scale, int_weights = clear_denominators(weights) if cleared is None else cleared
+def weight_table(weights: Sequence[Vector], q: GramForm) -> WeightTable:
+    """The chi-free table of ``weights``, cleared on their least common
+    denominator, and q."""
+    weight_scale, int_weights = clear_denominators(weights)
     form_scale, int_form = q.cleared
     covectors = tuple(tuple(dot(row, w) for row in int_form) for w in int_weights)
     gram = tuple(tuple(dot(c, w) for w in int_weights) for c in covectors)
-    return WeightTable(tuple(weights), tuple(int_weights), covectors, weight_scale, form_scale, gram)
+    return WeightTable(tuple(weights), int_weights, covectors, weight_scale, form_scale, gram)
 
 
 def with_chi(table: WeightTable, chi: Vector) -> GramTable:
-    """The table of ``table``'s weights and chi: chi is cleared and paired here."""
+    """The table of ``table``'s weights and chi: chi is cleared and its pairings formed here."""
     chi_scale, (int_chi,) = clear_denominators([chi])
     rhs = tuple(dot(c, int_chi) for c in table.covectors)
     return GramTable(table.weights, table.int_weights, table.covectors, table.weight_scale,

@@ -9,7 +9,7 @@ only) the raw space is treated as the base, so the doubling identity
     2 * sum_i |alpha_i . beta|  =  sum_slice |w|  -  2 * wt_n-(beta)
 holds exactly for every ShiftData this module produces.
 
-The pairings are integers: q*beta is formed once, cleared, and paired
+The pairings are integers: q*beta is formed once, cleared, and dotted
 with the cached integer weights and roots on one common scale, and the
 counting, sorting and the identity check above run on those integers.
 A Fraction is built once per distinct magnitude, and for the sums.
@@ -86,7 +86,7 @@ def full_space_generators(beta: Vector, ws: WeightSystem, group: GroupData) -> t
 def _pairings(beta: Vector, ws: WeightSystem, group: GroupData) -> tuple[int, list[int], list[int]]:
     """(den, den*q(w, beta) for each base weight w, den*q(r, beta) for each
     root r in order), all integers on one scale.  q*beta is formed once and
-    cleared, and paired with the cleared weights and roots of ``ws`` and
+    cleared, and dotted with the cleared weights and roots of ``ws`` and
     ``group``; each root visits only its nonzero entries."""
     if ws.rank != group.rank:
         raise InvalidParameter("vector length does not match form rank")

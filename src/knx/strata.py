@@ -24,9 +24,9 @@ a cover is deduplicated by its set of lines before any basis is extended,
 so a basis is extended once per flat.
 ``enumerate_kn`` needs one flat per Weyl orbit, since v(wF) = w v(F) when
 W permutes the weights and fixes chi and q: (d), the precondition of every
-walk.  A record exists only for weights W permutes, and ``_ray_strata``
-refuses a chi that does not vanish on the roots.  The walk takes the
-orbits when the problem is graphic, which ``_graphic`` checks on the
+walk.  Every walk enters by ``span_candidates``: records exist only for
+weights W permutes, and an orbit walk refuses a chi not zero on a root.
+It takes the orbits of a graphic problem, which ``_graphic`` checks on the
 integer table: (a) W is not trivial and q is the identity; (b) every
 simple root is a positive multiple of e_a - e_b, so W permutes the
 coordinates within the classes, the components of the simple-root graph;
@@ -49,20 +49,21 @@ What is kept between calls depends on the problem's shape alone, and is
 kept on its ``Shape`` record, one per group and weight multiset (its
 scale and mode), which ``shape_of`` looks up by value; it keeps the last
 8, and a miss refuses weights the Weyl group does not permute.  A record
-holds the pairing table of the distinct nonzero weights, the graph (the
-classes and the edges), the orbit walk's plan (which depends on the
-classes and the edges alone), the full walk's flats and the strata of
-the last 8 chi rays walked, each built on first use: all of it lives and
-dies with the record.  Each walk pairs chi with the table.
+holds the pairing table of the distinct nonzero weights, the orbit walk's
+plan (None when the shape is not graphic), the full walk's flats and the
+strata of the last 8 (chi ray, sign) walked, each built on first use: all
+of it lives and dies with the record.  Each walk pairs chi with the table.
 
 The strata depend on chi only through its ray: the cone projection is
 positively homogeneous, and the exact solve makes the same choices at any
 positive scale, so chi = lam * ray has the ray's strata with each
-direction times lam and each q-norm times lam^2.  ``_ray_strata`` checks
-the primitive integer ray and walks the flats for it, and the record
-keeps, per (ray, orientation), each stratum in table terms: its direction,
-q-norm, betas and dominant key, the table indices of its defining subset
-and Q(W_t, beta) per table index.  ``enumerate_kn`` checks the
+direction times lam and each q-norm times lam^2.  ``_ray_strata`` walks
+the flats for the primitive integer ray through ``span_candidates``, which
+checks it.  Only the sign of the orientation matters: "positive" reports
+each beta_pos, "negative" and "both" each beta_neg.  So the record keeps,
+per (ray, positive), each stratum in table terms: its direction, q-norm,
+betas and dominant key, the table indices of its defining subset and
+Q(W_t, beta) per table index.  ``enumerate_kn`` checks the
 orientation, the ranks and the cap on every call, then scales the kept
 strata and reads their indices in the call's weight order; so a sweep
 over c checks its ray and solves the flats once.  The oracle's walk is
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, inf
 from typing import Iterator, NamedTuple, Sequence
 
 from .convex import (
@@ -195,9 +196,10 @@ class Shape:
     ``key`` is the value the record is kept under, (group.key, ws.key), and
     carries the group and the first weight system of this shape seen, in
     its own order; everything read from it here is the same for any order.
-    The chi-free table, the graph and the plan are built on the first walk,
-    and the flats on the first full walk, after that call's cap check.
-    ``kept`` holds the strata of the last 8 (chi ray, orientation) walked.
+    The chi-free table is built on the first walk, the plan on the first
+    orbit walk and the flats on the first full walk, after that call's cap
+    check.  ``kept`` holds the strata of the last 8 (chi ray, positive)
+    walked: "negative" and "both" share an entry.
     """
 
     key: Keyed
@@ -206,16 +208,11 @@ class Shape:
     @cached_property
     def table(self) -> WeightTable:
         """The distinct nonzero stratify weights, in the order of their
-        Fraction vectors (one positive scale keeps it), paired."""
+        Fraction vectors (one positive scale keeps it), with their pairings."""
         group, ws = self.key.data
         nonzero = sorted({w for w in ws.int_stratify_weights if any(w)})
         vectors = dict(zip(ws.int_stratify_weights, ws.stratify_weights))
-        # the distinct nonzero +-w have the denominators of the w: one scale
-        return weight_table([vectors[w] for w in nonzero], group.form, (ws.cleared[0], nonzero))
-
-    @cached_property
-    def graph(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
-        return _graphic(self.table, self.key.data[0])
+        return weight_table([vectors[w] for w in nonzero], group.form)
 
     @cached_property
     def flats(self) -> tuple[tuple[int, ...], ...]:
@@ -224,14 +221,16 @@ class Shape:
         return _flats(self.table.int_weights)
 
     @cached_property
-    def plan(self) -> tuple[tuple[int, ...], ...]:
-        """The orbit walk's flats, for a graphic shape (``_orbit_plan``)."""
-        return _orbit_plan(*self.graph)
+    def plan(self) -> tuple[tuple[int, ...], ...] | None:
+        """The orbit walk's flats (``_orbit_plan``), None when the shape is
+        not graphic (``_graphic``)."""
+        graph = _graphic(self.table, self.key.data[0])
+        return None if graph is None else _orbit_plan(*graph)
 
-    def strata(self, ray: IntVector, orientation: str) -> tuple[tuple[_RayStratum, ...], bool]:
+    def strata(self, ray: IntVector, positive: bool) -> tuple[tuple[_RayStratum, ...], bool]:
         """``_ray_strata`` on this record, kept."""
-        kept, key = self.kept, (ray, orientation)
-        kept[key] = entry = kept.pop(key, None) or _ray_strata(self, ray, orientation)
+        kept, key = self.kept, (ray, positive)
+        kept[key] = entry = kept.pop(key, None) or _ray_strata(self, ray, positive)
         if len(kept) > 8:
             del kept[next(iter(kept))]
         return entry
@@ -247,7 +246,7 @@ def shape_of(ws: WeightSystem, group: GroupData) -> Shape:
 
 
 # the records of the last 8 shapes stay in the process: a gl(12) record
-# with its table and graph takes about 0.36 MiB, its key included
+# with its table and plan takes about 0.36 MiB, its key included
 @lru_cache(maxsize=8)
 def _shapes(key: Keyed) -> Shape:
     group, ws = key.data
@@ -261,28 +260,28 @@ def span_candidates(
     group: GroupData,
     cap: float = DEFAULT_VERTEX_CAP,
     orbits: bool = False,
-    paired: tuple[Shape, GramTable] | None = None,
 ) -> Iterator[tuple[GramTable, ConeProjection]]:
     """Yield (pairing table, certified cone projection) per distinct span.
 
-    The table holds the distinct nonzero weights and is shared by every
-    flat, and its chi-free part by every call of the shape; a projection's
-    members are the table weights in its flat.  The origin is an implicit
-    vertex of every flat.  The same generator feeds both the symbolic
-    enumeration and the concrete-eps oracle, which re-solves each flat
-    independently.  The full walk solves the shape's ``flats``; with
-    ``orbits`` a graphic problem yields only the flat of each Weyl orbit
+    Every walk enters here.  The table holds the distinct nonzero weights
+    and is shared by every flat, and its chi-free part by every call of
+    the shape; a projection's members are the table weights in its flat.
+    The origin is an implicit vertex of every flat.  The same generator
+    feeds both the symbolic enumeration and the concrete-eps oracle, which
+    re-solves each flat independently.  The full walk solves the shape's
+    ``flats``; with ``orbits`` a chi that does not vanish on the roots is
+    refused, and a graphic problem yields only the flat of each Weyl orbit
     that the full walk meets first, in the full walk's order (see the
-    module docstring), and its caller vouches that chi vanishes on the
-    roots.  ``paired`` is the shape's record and its table paired with
-    chi, for a caller that has checked the sizes and has them.
+    module docstring).
     """
-    if paired is None:
-        _check_sizes(ws, chi, group, cap)
-        shape = shape_of(ws, group)
-        paired = shape, with_chi(shape.table, chi.vec)
-    shape, table = paired
-    for members in shape.plan if orbits and shape.graph is not None else shape.flats:
+    _check_sizes(ws, chi, group, cap)
+    shape = shape_of(ws, group)
+    plan = None
+    if orbits:
+        validate_torus_character(chi, group)
+        plan = shape.plan
+    table = with_chi(shape.table, chi.vec)
+    for members in shape.flats if plan is None else plan:
         yield table, min_norm_point(table, members)
 
 
@@ -530,10 +529,11 @@ def enumerate_kn(
 ) -> KNResult:
     """Enumerate the KN one-parameter subgroups for the character chi.
 
-    The strata of the ray of chi are kept on the shape's record
-    (``Shape.strata``): for chi = lam * ray with lam > 0, each direction is
-    lam times the ray's and each q-norm lam^2 times, and the indices are
-    read in this call's weight order."""
+    The strata of the ray of chi are kept on the shape's record, one entry
+    per (ray, orientation == "positive") (``Shape.strata``), and walked
+    through ``span_candidates`` on a miss: for chi = lam * ray with lam > 0,
+    each direction is lam times the ray's and each q-norm lam^2 times, and
+    the indices are read in this call's weight order."""
     if orientation not in ORIENTATIONS:
         raise InvalidParameter(f"unknown orientation {orientation!r}")
     _check_sizes(ws, chi, group, cap)
@@ -542,7 +542,7 @@ def enumerate_kn(
     ray = tuple(a // g for a in ints)
     lam = None if g == d else Fraction(g, d)
     shape = shape_of(ws, group)
-    strata, semistable = shape.strata(ray, orientation)
+    strata, semistable = shape.strata(ray, orientation == "positive")
     # per stratify weight its table index (None for a zero weight), and
     # per table index its first stratify weight
     position = {w: t for t, w in enumerate(shape.table.int_weights)}
@@ -587,20 +587,19 @@ class _RayStratum(NamedTuple):
     pairings: tuple[int, ...]
 
 
-def _ray_strata(shape: Shape, ray: IntVector, orientation: str) -> tuple[tuple[_RayStratum, ...], bool]:
+def _ray_strata(shape: Shape, ray: IntVector, positive: bool) -> tuple[tuple[_RayStratum, ...], bool]:
     """(the strata in order, whether the semistable locus is nonempty) for
-    chi = ray on ``shape``; a ray not vanishing on the roots is refused."""
+    chi = ray on ``shape``, each beta the positive representative when
+    ``positive`` and the negative one otherwise."""
     group, ws = shape.key.data
-    validate_torus_character(TorusCharacter(ray), group)
     form_scale, int_form = group.form.cleared
     semistable = False
     found: dict[Vector, _RayStratum] = {}
     # the integer betas seen before: their Weyl keys are in found already
     seen: set[IntVector] = set()
-    # the caller checked the sizes; an integer ray clears to itself, so no
+    # enumerate_kn checked the cap; an integer ray clears to itself, so no
     # Fraction is built for it
-    paired = shape, with_chi(shape.table, ray)
-    for table, proj in span_candidates(ws, None, group, orbits=True, paired=paired):
+    for table, proj in span_candidates(ws, TorusCharacter(ray), group, inf, orbits=True):
         v = proj.int_direction
         if not any(v):
             semistable = True
@@ -614,7 +613,7 @@ def _ray_strata(shape: Shape, ray: IntVector, orientation: str) -> tuple[tuple[_
         beta_pos = tuple(map(Fraction, ints))
         beta_neg = vec_neg(beta_pos)
         # W acts linearly, so either sign's orbit determines the other's
-        if orientation == "positive":
+        if positive:
             beta = beta_pos
         else:
             beta, ints = beta_neg, tuple(-a for a in ints)

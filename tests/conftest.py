@@ -20,7 +20,8 @@ def load_golden(name: str) -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every per-process cache of knx: the next call builds afresh."""
+    """Empty every per-process cache of knx: the next call builds afresh.
+    The conftest at the repo root empties the same six before every test."""
     import knx.engine
     import knx.groups
     import knx.strata
@@ -52,15 +53,3 @@ def walk_counts(monkeypatch) -> Counter:
     monkeypatch.setattr(knx.strata, "_ray_strata", counting("walks", knx.strata._ray_strata))
     return counts
 
-
-def pytest_runtest_teardown(item, nextitem):
-    """The last test here leaves no kept strata behind: the benchmark's
-    ``test_traced_cherednik_reaches_min_norm``, run after these, counts
-    the cone solves of a walk that a kept entry would skip.  The strata
-    are kept on the shape records, so the records go.  Tests that need a
-    cold walk clear the records themselves."""
-    here = Path(__file__).resolve().parent
-    if nextitem is None or here not in nextitem.path.parents:
-        import knx.strata
-
-        knx.strata._shapes.cache_clear()

@@ -209,9 +209,9 @@ def test_defining_support_is_an_independent_face_set_carrying_the_projection(pro
 @given(_rational_random_problems())
 @example(_cherednik(3))
 def test_the_shared_table_is_the_table_of_its_fraction_weights(problem):
-    # span_candidates hands gram_table the weight system's cleared integers,
-    # on its least common denominator; clearing the table's distinct
-    # nonzero weights again gives the same scale and the same integers
+    # the shared table of span_candidates is the table gram_table builds
+    # from its distinct nonzero Fraction weights: the same scale, the same
+    # integers and the same pairings
     ws, chi, group = problem
     table, _ = next(span_candidates(ws, chi, group))
     assert table == gram_table(table.weights, chi.vec, group.form)

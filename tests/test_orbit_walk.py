@@ -30,7 +30,7 @@ from knx.scalars import vec_scale
 from knx.strata import WeightSystem, enumerate_kn, shape_of, span_candidates, weight_system
 
 FULL_WALK = knx.strata.span_candidates
-# the shape records, which keep the strata per (ray, orientation)
+# the shape records, which keep the strata per (ray, positive)
 SHAPES = knx.strata._shapes
 UNCAPPED = 10**6
 
@@ -269,6 +269,15 @@ def test_a_chi_that_does_not_vanish_on_the_roots_is_refused_by_enumerate_kn_alon
     assert len(report.directions) == 4
 
 
+def test_an_orbit_walk_refuses_a_chi_that_does_not_vanish_on_the_roots():
+    # span_candidates is the one way into a walk, so it checks chi itself;
+    # the full walk, which merges nothing by W, still takes it
+    p, chi = cherednik_preset(2), TorusCharacter((F(1), F(0)))
+    with pytest.raises(InvalidParameter, match=REFUSALS["chi"]):
+        next(span_candidates(p.weights, chi, p.group, orbits=True))
+    assert len(list(span_candidates(p.weights, chi, p.group))) == 5
+
+
 def test_a_kept_ray_is_not_checked_again(walk_counts, monkeypatch):
     checks = []
     check = knx.strata.validate_torus_character
@@ -365,7 +374,7 @@ def test_presets_are_one_group_per_n(n):
     assert sl(n).int_roots == gl(n).int_roots
 
 
-# the strata are kept per (primitive ray of chi, orientation) on the shape's record: chi =
+# the strata are kept per (primitive ray of chi, positive) on the shape's record: chi =
 # lam * ray reports the ray's strata with each direction times lam and each
 # q-norm times lam^2
 B2XGL1 = load_problem(GOLDEN_DIR / "b2xgl1.json")
@@ -402,8 +411,9 @@ def test_a_scaled_chi_reports_the_strata_of_its_ray_scaled(problem, orientation)
     d, (ints,) = clear_denominators([chi.vec])
     ray = tuple(a // (gcd(*ints) or d) for a in ints)
     shape = shape_of(ws, group)
-    strata, semistable = knx.strata._ray_strata(shape, ray, orientation)
-    at_lam = knx.strata._ray_strata(shape, tuple(lam * a for a in ray), orientation)
+    positive = orientation == "positive"
+    strata, semistable = knx.strata._ray_strata(shape, ray, positive)
+    at_lam = knx.strata._ray_strata(shape, tuple(lam * a for a in ray), positive)
     assert at_lam == (tuple(s._replace(direction=vec_scale(lam, s.direction),
                                        q_norm=lam * lam * s.q_norm) for s in strata),
                       semistable)

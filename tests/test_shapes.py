@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 from types import FrameType
 
@@ -165,7 +166,7 @@ def test_kept_strata_never_skip_the_cap_or_the_drop_check(gl2_files, tmp_path, c
 
 
 # what a record keeps lives and dies with it: the orbit plan, built once
-# per record, and the strata of the last 8 (ray, orientation) walked on it
+# per record, and the strata of the last 8 (ray, positive) walked on it
 UNCAPPED = 10**6
 
 
@@ -189,6 +190,17 @@ def test_the_plan_and_the_kept_strata_outlive_no_record():
         shape_of(weight_system([[str(k)]]), gl(1))
     gc.collect()
     assert record() is None
+
+
+def test_negative_and_both_read_one_kept_entry(walk_counts):
+    # only "positive" changes the betas a walk reports, so "negative" and
+    # "both" share the entry of their ray
+    p = cherednik_preset(2)
+    ws, chi, group = p.weights, p.chi, p.group
+    results = [enumerate_kn(ws, chi, group, orientation) for orientation in ("negative", "both", "negative")]
+    assert (walk_counts["walks"], walk_counts["reads"]) == (1, 3)
+    assert len(shape_of(ws, group).kept) == 1
+    assert results[0] == results[2] == replace(results[1], orientation="negative")
 
 
 def _rays(k):
